@@ -121,6 +121,33 @@ def bench_timer_wheel_churn() -> dict:
     return _time_best(run, ops=ops, expect=ops)
 
 
+def bench_timer_wheel_idle_query() -> dict:
+    """``next_expiry()`` between adds, cancels and advances on a wheel
+    holding a few live timers: the tickless idle-entry query, which
+    timer_wheel_churn never makes."""
+    from repro.guest.timerwheel import TimerWheel
+
+    rounds = 5_000
+
+    def run() -> int:
+        w = TimerWheel()
+        live = [w.add(64 ** level, lambda: None) for level in (1, 2, 3)]
+        queries = 0
+        for i in range(rounds):
+            now = w.current_jiffies
+            t = w.add(now + 2 + (i * 37) % 4_000, lambda: None)
+            w.next_expiry()
+            w.cancel(live[i % 3])
+            live[i % 3] = t
+            w.next_expiry()
+            w.advance_to(now + 1)
+            w.next_expiry()
+            queries += 3
+        return queries
+
+    return _time_best(run, ops=3 * rounds, expect=3 * rounds)
+
+
 def bench_hrtimer_queue_churn() -> dict:
     """Interleaved add/cancel/rearm/pop on the hrtimer heap."""
     from repro.guest.hrtimer import HrtimerQueue
@@ -225,6 +252,7 @@ BENCHES: dict[str, Callable[[], dict]] = {
     "rearm_churn": bench_rearm_churn,
     "cancel_rearm_storm": bench_cancel_rearm_storm,
     "timer_wheel_churn": bench_timer_wheel_churn,
+    "timer_wheel_idle_query": bench_timer_wheel_idle_query,
     "hrtimer_queue_churn": bench_hrtimer_queue_churn,
     "syncstorm_smoke": bench_syncstorm_smoke,
     "fleet_host_smoke": bench_fleet_host_smoke,

@@ -786,9 +786,18 @@ class GridResult:
 
 def _pool_context():
     """Prefer fork: cheap on Linux, and workers inherit workload kinds
-    registered by the calling process (tests rely on this)."""
+    registered by the calling process (tests rely on this).
+
+    A forked worker also inherits the parent's imports, so numpy, which
+    :mod:`repro.sim.rng` imports only on first use, is imported here
+    once instead of once in every fresh worker.
+    """
     methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    if "fork" not in methods:
+        return multiprocessing.get_context(methods[0])
+    import numpy  # noqa: F401
+
+    return multiprocessing.get_context("fork")
 
 
 def run_grid(

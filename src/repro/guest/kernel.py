@@ -16,6 +16,7 @@ counts are exact; intra-microsecond orderings are approximate.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
 from repro.config import TickMode
@@ -36,6 +37,9 @@ K = CycleDomain.GUEST_KERNEL
 U = CycleDomain.GUEST_USER
 
 PAGE = 4096
+
+#: Safety bound on scheduler/idle-loop passes within one ``next_op`` call.
+_MAX_KERNEL_PASSES = 100_000
 
 
 class VcpuCtx:
@@ -111,7 +115,7 @@ class GuestKernel:
             # grid (staggered per vCPU, like real kernel SMP bring-up).
             boot = self.costs.guest_boot_init + vidx * 40_000
             self.push(vidx, gops.Compute(boot, K))
-            self._with_vcpu(vidx, lambda v=vidx: self.policy.on_boot(v))
+            self._as_vcpu(vidx, self.policy.on_boot, vidx)
 
     # ----------------------------------------------------------- wiring
 
@@ -153,7 +157,7 @@ class GuestKernel:
         at or after the restore instant.
         """
         for vidx in range(min(self.nvcpus, len(self.vm.vcpus))):
-            self._with_vcpu(vidx, lambda v=vidx: self.policy.on_clock_jump(v, jump_ns))
+            self._as_vcpu(vidx, self.policy.on_clock_jump, vidx, jump_ns)
 
     def on_vcpu_hotplug(self, vidx: int) -> None:
         """A vCPU came online at index ``vidx`` (host-side hotplug).
@@ -174,7 +178,7 @@ class GuestKernel:
             raise GuestError(f"hotplug at index {vidx} skips slot {self.nvcpus}")
         boot = self.costs.guest_boot_init + vidx * 40_000
         self.push(vidx, gops.Compute(boot, K))
-        self._with_vcpu(vidx, lambda v=vidx: self.policy.on_boot(v))
+        self._as_vcpu(vidx, self.policy.on_boot, vidx)
 
     def on_vcpu_unplug(self, vidx: int) -> None:
         """A vCPU went offline; drop its queued kernel work.
@@ -223,21 +227,19 @@ class GuestKernel:
         else:
             self._ctx[vidx].ops.append(op)
 
-    def _cb(self, vidx: int, fn: Callable[[], None]) -> Callable[[], None]:
-        """Wrap a callback so kernel work it does is attributed to vidx."""
+    def _as_vcpu(self, vidx: int, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` with the kernel work it does attributed to vidx."""
+        prev = self._active_vidx
+        self._active_vidx = vidx
+        try:
+            fn(*args)
+        finally:
+            self._active_vidx = prev
 
-        def run() -> None:
-            prev = self._active_vidx
-            self._active_vidx = vidx
-            try:
-                fn()
-            finally:
-                self._active_vidx = prev
-
-        return run
-
-    def _with_vcpu(self, vidx: int, fn: Callable[[], None]) -> None:
-        self._cb(vidx, fn)()
+    def _push_call(self, vidx: int, cycles: int, fn: Callable[..., None], *args) -> None:
+        """Queue ``cycles`` of kernel work for vidx that ends in ``fn(*args)``
+        (run as :meth:`_as_vcpu` runs it)."""
+        self.push(vidx, gops.Compute(cycles, K, on_done=partial(self._as_vcpu, vidx, fn, *args)))
 
     # =================================================================
     # Executor-facing interface
@@ -246,44 +248,47 @@ class GuestKernel:
     def next_op(self, vidx: int):
         """Produce the next primitive op for a vCPU (see module docstring)."""
         ctx = self._ctx[vidx]
-        prev = self._active_vidx
-        self._active_vidx = vidx
-        try:
-            for _ in range(100_000):
-                if ctx.ops:
-                    op = ctx.ops.popleft()
-                    if isinstance(op, gops.Hlt) and self.sched.has_work(vidx):
-                        # Linux's sti;hlt race guard: a wakeup arrived
-                        # between the idle-entry decision and the HLT —
-                        # re-run the idle loop instead of halting with
-                        # runnable work (would be a lost wakeup).
-                        continue
+        ops = ctx.ops
+        sched = self.sched
+        passes = 0
+        while True:
+            while ops:
+                op = ops.popleft()
+                # Linux's sti;hlt race guard: a wakeup arrived between the
+                # idle-entry decision and the HLT — re-run the idle loop
+                # instead of halting with runnable work (a lost wakeup).
+                if op.__class__ is not gops.Hlt or not sched.has_work(vidx):
                     return op
-                if self._stopped:
-                    return None
-                cur = self.sched.current(vidx)
+            if self._stopped:
+                return None
+            if passes == _MAX_KERNEL_PASSES:
+                raise GuestError(f"vCPU{vidx}: kernel op loop made no progress")
+            passes += 1
+            # One scheduler/idle-loop pass; the work it queues is vidx's.
+            prev = self._active_vidx
+            self._active_vidx = vidx
+            try:
+                cur = sched.current(vidx)
                 if cur is not None:
-                    if ctx.need_resched and self.sched.runnable_waiting(vidx) > 0:
+                    if ctx.need_resched and sched.runnable_waiting(vidx) > 0:
                         ctx.need_resched = False
-                        self.sched.preempt_current(vidx)
+                        sched.preempt_current(vidx)
                         self._push_switch(vidx)
-                        continue
-                    ctx.need_resched = False
-                    self._advance_task(vidx, cur)
-                    continue
-                if self.sched.runnable_waiting(vidx) > 0:
+                    else:
+                        ctx.need_resched = False
+                        self._advance_task(vidx, cur)
+                elif sched.runnable_waiting(vidx) > 0:
                     ctx.need_resched = False
                     if ctx.idle:
                         ctx.idle = False
                         self._push_idle_exit(vidx)
                     self._push_switch(vidx)
-                    continue
-                # Nothing runnable: idle loop pass (Fig. 1b / 3c).
-                ctx.idle = True
-                self._push_idle_enter(vidx)
-            raise GuestError(f"vCPU{vidx}: kernel op loop made no progress")
-        finally:
-            self._active_vidx = prev
+                else:
+                    # Nothing runnable: idle loop pass (Fig. 1b / 3c).
+                    ctx.idle = True
+                    self._push_idle_enter(vidx)
+            finally:
+                self._active_vidx = prev
 
     def requeue_front(self, vidx: int, op: gops.GuestOp) -> None:
         """Executor returns the unexecuted remainder of a preempted op."""
@@ -310,10 +315,8 @@ class GuestKernel:
                     self.policy.on_virtual_tick(vidx)
                 elif vector is Vector.RESCHEDULE:
                     ctx.need_resched = True
-                elif vector is Vector.BLOCK_IO:
-                    self._handle_block_io_irq(vidx, seq)
-                elif vector is Vector.NET_IO:
-                    self._handle_block_io_irq(vidx, seq)
+                elif vector is Vector.BLOCK_IO or vector is Vector.NET_IO:
+                    self._push_call(vidx, self.costs.guest_io_complete, self._drain_io_done, vidx)
                 # Unknown vectors: spurious; glue cost only.
         finally:
             self._push_sink = prev_sink
@@ -330,10 +333,7 @@ class GuestKernel:
 
     def push_tick_work(self, vidx: int) -> None:
         """Standard tick-handler body: accounting, sched check, softirqs."""
-        self.push(
-            vidx,
-            gops.Compute(self.costs.guest_tick_work, K, on_done=self._cb(vidx, lambda: self._tick_effects(vidx))),
-        )
+        self._push_call(vidx, self.costs.guest_tick_work, self._tick_effects, vidx)
 
     def _tick_effects(self, vidx: int) -> None:
         ctx = self._ctx[vidx]
@@ -385,36 +385,33 @@ class GuestKernel:
     # =================================================================
 
     def _push_idle_enter(self, vidx: int) -> None:
-        def after_entry_code() -> None:
-            self.trace_mark(vidx, "idle_enter")
-            self.policy.on_idle_enter(vidx)
-            if self.cpuidle_governor is not None:
-                # cpuidle: pick an idle state from the time to the next
-                # armed timer — the quantity tick management controls.
-                armed = self._ctx[vidx].armed_deadline_ns
-                predicted = None if armed is None else max(armed - self.now(), 0)
-                self.vm.vcpus[vidx].requested_cstate = self.cpuidle_governor.select(predicted)
-            self.push(vidx, gops.Hlt())
+        self._push_call(vidx, self.costs.guest_idle_entry, self._idle_entered, vidx)
 
-        self.push(vidx, gops.Compute(self.costs.guest_idle_entry, K, on_done=self._cb(vidx, after_entry_code)))
+    def _idle_entered(self, vidx: int) -> None:
+        self.trace_mark(vidx, "idle_enter")
+        self.policy.on_idle_enter(vidx)
+        if self.cpuidle_governor is not None:
+            # cpuidle: pick an idle state from the time to the next
+            # armed timer — the quantity tick management controls.
+            armed = self._ctx[vidx].armed_deadline_ns
+            predicted = None if armed is None else max(armed - self.now(), 0)
+            self.vm.vcpus[vidx].requested_cstate = self.cpuidle_governor.select(predicted)
+        self.push(vidx, gops.Hlt())
 
     def _push_idle_exit(self, vidx: int) -> None:
-        def after_exit_code() -> None:
-            self.trace_mark(vidx, "idle_exit")
-            self.policy.on_idle_exit(vidx)
+        self._push_call(vidx, self.costs.guest_idle_exit, self._idle_exited, vidx)
 
-        self.push(
-            vidx,
-            gops.Compute(self.costs.guest_idle_exit, K, on_done=self._cb(vidx, after_exit_code)),
-        )
+    def _idle_exited(self, vidx: int) -> None:
+        self.trace_mark(vidx, "idle_exit")
+        self.policy.on_idle_exit(vidx)
 
     def _push_switch(self, vidx: int) -> None:
-        def do_switch() -> None:
-            self.rcu.note_quiescent_state(vidx)
-            if self.sched.current(vidx) is None:
-                self.sched.pick_next(vidx)
+        self._push_call(vidx, self.costs.guest_sched_switch, self._do_switch, vidx)
 
-        self.push(vidx, gops.Compute(self.costs.guest_sched_switch, K, on_done=self._cb(vidx, do_switch)))
+    def _do_switch(self, vidx: int) -> None:
+        self.rcu.note_quiescent_state(vidx)
+        if self.sched.current(vidx) is None:
+            self.sched.pick_next(vidx)
 
     # =================================================================
     # Task-op translation
@@ -435,51 +432,40 @@ class GuestKernel:
 
     def _translate(self, vidx: int, task: Task, top: tsk.TaskOp) -> None:
         c = self.costs
+        call = self._push_call
         if isinstance(top, tsk.Run):
             self.push(vidx, gops.Compute(top.cycles, U))
         elif isinstance(top, tsk.Sleep):
-            self.push(vidx, gops.Compute(c.guest_syscall + c.guest_hrtimer_soft, K,
-                                         on_done=self._cb(vidx, lambda: self._do_sleep(vidx, task, top.ns, top.precise))))
+            cycles = c.guest_syscall + c.guest_hrtimer_soft
+            call(vidx, cycles, self._do_sleep, vidx, task, top.ns, top.precise)
         elif isinstance(top, (tsk.BlockRead, tsk.BlockWrite)):
             op = "read" if isinstance(top, tsk.BlockRead) else "write"
             pages = max(1, -(-top.size // PAGE))
             cycles = c.guest_syscall + c.guest_io_submit + pages * c.guest_io_per_page
-            self.push(vidx, gops.Compute(cycles, K,
-                                         on_done=self._cb(vidx, lambda: self._do_block_io(vidx, task, op, top.size, top.offset))))
+            call(vidx, cycles, self._do_block_io, vidx, task, op, top.size, top.offset)
         elif isinstance(top, tsk.NetRequest):
             pages = max(1, -(-top.size // PAGE))
             cycles = c.guest_syscall + c.guest_io_submit // 2 + pages * c.guest_io_per_page
-            self.push(vidx, gops.Compute(cycles, K,
-                                         on_done=self._cb(vidx, lambda: self._do_net_request(vidx, task, top.size))))
+            call(vidx, cycles, self._do_net_request, vidx, task, top.size)
         elif isinstance(top, tsk.MutexLock):
-            self.push(vidx, gops.Compute(c.guest_futex_wait, K,
-                                         on_done=self._cb(vidx, lambda: self._do_lock(vidx, task, top.mutex))))
+            call(vidx, c.guest_futex_wait, self._do_lock, vidx, task, top.mutex)
         elif isinstance(top, tsk.MutexUnlock):
-            self.push(vidx, gops.Compute(c.guest_futex_wake, K,
-                                         on_done=self._cb(vidx, lambda: self._do_unlock(vidx, task, top.mutex))))
+            call(vidx, c.guest_futex_wake, self._do_unlock, vidx, task, top.mutex)
         elif isinstance(top, tsk.BarrierWait):
-            self.push(vidx, gops.Compute(c.guest_futex_wait, K,
-                                         on_done=self._cb(vidx, lambda: self._do_barrier(vidx, task, top.barrier))))
+            call(vidx, c.guest_futex_wait, self._do_barrier, vidx, task, top.barrier)
         elif isinstance(top, tsk.CondWait):
-            self.push(vidx, gops.Compute(c.guest_futex_wait, K,
-                                         on_done=self._cb(vidx, lambda: self._do_cond_wait(vidx, task, top.cond))))
+            call(vidx, c.guest_futex_wait, self._do_cond_wait, vidx, task, top.cond)
         elif isinstance(top, tsk.CondSignal):
-            self.push(vidx, gops.Compute(c.guest_futex_wake, K,
-                                         on_done=self._cb(vidx, lambda: self._do_cond_signal(vidx, top.cond, top.n))))
+            call(vidx, c.guest_futex_wake, self._do_cond_signal, vidx, top.cond, top.n)
         elif isinstance(top, tsk.QueuePut):
-            self.push(vidx, gops.Compute(c.guest_futex_wake, K,
-                                         on_done=self._cb(vidx, lambda: self._do_queue_put(vidx, task, top.queue, top.item))))
+            call(vidx, c.guest_futex_wake, self._do_queue_put, vidx, task, top.queue, top.item)
         elif isinstance(top, tsk.QueueGet):
-            self.push(vidx, gops.Compute(c.guest_futex_wait, K,
-                                         on_done=self._cb(vidx, lambda: self._do_queue_get(vidx, task, top.queue))))
+            call(vidx, c.guest_futex_wait, self._do_queue_get, vidx, task, top.queue)
         elif isinstance(top, tsk.PageFault):
             for _ in range(top.count):
                 self.push(vidx, gops.Fault())
         elif isinstance(top, tsk.YieldCpu):
-            def do_yield() -> None:
-                self._ctx[vidx].need_resched = True
-
-            self.push(vidx, gops.Compute(c.guest_syscall, K, on_done=self._cb(vidx, do_yield)))
+            call(vidx, c.guest_syscall, self._do_yield, vidx)
         else:
             raise GuestError(f"task {task.name} yielded unknown op {top!r}")
 
@@ -490,6 +476,9 @@ class GuestKernel:
         quiescent state for the vCPU."""
         self.rcu.note_quiescent_state(vidx)
         return self.sched.block_current(vidx, reason)
+
+    def _do_yield(self, vidx: int) -> None:
+        self._ctx[vidx].need_resched = True
 
     def _do_sleep(self, vidx: int, task: Task, ns: int, precise: bool) -> None:
         self.rcu.note_update_op(vidx)
@@ -587,22 +576,17 @@ class GuestKernel:
 
     # ------------------------------------------------------------ IRQ bodies
 
-    def _handle_block_io_irq(self, vidx: int, seq: list) -> None:
-        c = self.costs
-
-        def drain() -> None:
-            ctx = self._ctx[vidx]
-            while ctx.io_done:
-                req = ctx.io_done.popleft()
-                pages = max(1, -(-req.size // PAGE))
-                self.push(vidx, gops.Compute(pages * c.guest_io_per_page, K))
-                task = req.cookie
-                if isinstance(task, tuple):  # executor wrapped (vcpu_idx, task)
-                    task = task[1]
-                if task is not None:
-                    self.sched.wake(task)
-
-        seq.append(gops.Compute(c.guest_io_complete, K, on_done=self._cb(vidx, drain)))
+    def _drain_io_done(self, vidx: int) -> None:
+        ctx = self._ctx[vidx]
+        while ctx.io_done:
+            req = ctx.io_done.popleft()
+            pages = max(1, -(-req.size // PAGE))
+            self.push(vidx, gops.Compute(pages * self.costs.guest_io_per_page, K))
+            task = req.cookie
+            if isinstance(task, tuple):  # executor wrapped (vcpu_idx, task)
+                task = task[1]
+            if task is not None:
+                self.sched.wake(task)
 
     # --------------------------------------------------------------- wakeups
 
@@ -621,3 +605,4 @@ class GuestKernel:
         task.finished_ns = self.now()
         for cb in list(self.task_done_callbacks):
             cb(task)
+

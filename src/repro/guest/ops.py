@@ -22,6 +22,12 @@ from repro.hw.cpu import CycleDomain
 from repro.hw.iodev import IoRequest
 
 
+#: The domains guest compute may run in. A module constant, not a tuple
+#: built per op: on CPython 3.11 each ``CycleDomain.X`` read goes through
+#: the Enum metaclass and costs several times a global lookup.
+_GUEST_DOMAINS = (CycleDomain.GUEST_USER, CycleDomain.GUEST_KERNEL)
+
+
 class GuestOp:
     """Base class for primitive guest operations."""
 
@@ -45,7 +51,7 @@ class Compute(GuestOp):
     ):
         if cycles < 0:
             raise GuestError(f"negative compute: {cycles}")
-        if domain not in (CycleDomain.GUEST_USER, CycleDomain.GUEST_KERNEL):
+        if domain not in _GUEST_DOMAINS:
             raise GuestError(f"guest compute must be guest-domain, got {domain}")
         self.cycles = cycles
         self.domain = domain

@@ -47,11 +47,15 @@ class TimerWheel:
     LEVELS = 8
 
     def __init__(self, *, start_jiffies: int = 0) -> None:
-        self._buckets: list[list[list[WheelTimer]]] = [
-            [[] for _ in range(self.LVL_SIZE)] for _ in range(self.LEVELS)
-        ]
+        #: Per level, ``{slot: timers}`` holding only non-empty buckets —
+        #: the dict's keys play the role of Linux's pending-bucket bitmap.
+        self._levels: list[dict[int, list[WheelTimer]]] = [{} for _ in range(self.LEVELS)]
         self._current = start_jiffies
         self._count = 0
+        #: Earliest live expiry; meaningful only while ``_next_ok`` and
+        #: the wheel is non-empty.
+        self._next: Optional[int] = None
+        self._next_ok = True
 
     def __len__(self) -> int:
         return self._count
@@ -72,7 +76,12 @@ class TimerWheel:
             span <<= self.LVL_BITS
         gran_bits = level * self.LVL_BITS
         slot = (timer.expires_jiffies >> gran_bits) & (self.LVL_SIZE - 1)
-        self._buckets[level][slot].append(timer)
+        buckets = self._levels[level]
+        bucket = buckets.get(slot)
+        if bucket is None:
+            buckets[slot] = [timer]
+        else:
+            bucket.append(timer)
 
     def add(self, expires_jiffies: int, callback: Callable[[], None], *, name: str = "timer") -> WheelTimer:
         """Enqueue a timer for an absolute jiffy count."""
@@ -81,6 +90,9 @@ class TimerWheel:
         t = WheelTimer(expires_jiffies, callback, name)
         self._place(t)
         self._count += 1
+        if self._count == 1 or (self._next_ok and expires_jiffies < self._next):
+            self._next = expires_jiffies
+            self._next_ok = True
         return t
 
     def cancel(self, timer: Optional[WheelTimer]) -> bool:
@@ -89,6 +101,8 @@ class TimerWheel:
             return False
         timer._active = False
         self._count -= 1
+        if timer.expires_jiffies == self._next:
+            self._next_ok = False
         return True
 
     # ------------------------------------------------------------- advancing
@@ -101,7 +115,9 @@ class TimerWheel:
         while self._current < jiffies:
             self._current += 1
             self._step(fired)
-        fired.sort(key=lambda t: t.expires_jiffies)
+        if fired:
+            self._next_ok = False
+            fired.sort(key=lambda t: t.expires_jiffies)
         return fired
 
     def _step(self, fired: list[WheelTimer]) -> None:
@@ -109,21 +125,25 @@ class TimerWheel:
         cur = self._current
         # Level 0: every live timer in this slot is due (placement
         # guarantees expiry within one wheel revolution).
-        slot0 = cur & (self.LVL_SIZE - 1)
-        self._drain(self._buckets[0][slot0], fired)
+        levels = self._levels
+        bucket = levels[0].pop(cur & (self.LVL_SIZE - 1), None)
+        if bucket is not None:
+            self._drain(bucket, fired)
         # Higher levels: when a level's granularity boundary is crossed,
         # re-place (cascade) that slot's timers; due ones fire.
         for level in range(1, self.LEVELS):
             gran_bits = level * self.LVL_BITS
             if cur & ((1 << gran_bits) - 1):
                 break
-            slot = (cur >> gran_bits) & (self.LVL_SIZE - 1)
-            self._drain(self._buckets[level][slot], fired)
+            bucket = levels[level].pop((cur >> gran_bits) & (self.LVL_SIZE - 1), None)
+            if bucket is not None:
+                self._drain(bucket, fired)
 
     def _drain(self, bucket: list[WheelTimer], fired: list[WheelTimer]) -> None:
-        pending = [t for t in bucket if t._active]
-        bucket.clear()
-        for t in pending:
+        """Fire or re-place the timers of a bucket already taken off its level."""
+        for t in bucket:
+            if not t._active:
+                continue
             if t.expires_jiffies <= self._current:
                 t._active = False
                 self._count -= 1
@@ -136,13 +156,19 @@ class TimerWheel:
     def next_expiry(self) -> Optional[int]:
         """Earliest pending expiry in jiffies, or None if empty.
 
-        O(live timers) scan — acceptable because the idle path calls it
-        once per idle entry and guest timer queues are short.
+        Cached: ``add`` lowers the cached value, and only cancelling a
+        timer due at the cached jiffy or firing timers in ``advance_to``
+        forces the next call to rescan the live buckets.
         """
-        best: Optional[int] = None
-        for level in self._buckets:
-            for bucket in level:
-                for t in bucket:
-                    if t._active and (best is None or t.expires_jiffies < best):
-                        best = t.expires_jiffies
-        return best
+        if not self._count:
+            return None
+        if not self._next_ok:
+            self._next = min(
+                t.expires_jiffies
+                for level in self._levels
+                for bucket in level.values()
+                for t in bucket
+                if t._active
+            )
+            self._next_ok = True
+        return self._next

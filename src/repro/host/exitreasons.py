@@ -36,6 +36,9 @@ class ExitReason(enum.Enum):
     #: ARM: the virtual generic timer (vtimer) fired while in guest mode.
     VTIMER_IRQ = "vtimer_irq"
 
+    #: Position in definition order (see :data:`EXIT_KEY_SLOTS`).
+    slot: int
+
 
 class ExitTag(enum.Enum):
     """Semantic cause of an exit, for the paper's metric split."""
@@ -58,6 +61,19 @@ class ExitTag(enum.Enum):
     HYPERCALL = "hypercall"
     #: Everything else (EPT violations, PLE, instruction emulation...).
     OTHER = "other"
+
+    #: Position in definition order (see :data:`EXIT_KEY_SLOTS`).
+    slot: int
+
+
+for _enum in (ExitReason, ExitTag):
+    for _slot, _member in enumerate(_enum):
+        _member.slot = _slot
+del _enum, _slot, _member
+
+#: Size of a dense ``(reason, tag)`` table: the pair's index in it is
+#: ``reason.slot * len(ExitTag) + tag.slot``, reason-major in enum order.
+EXIT_KEY_SLOTS = len(ExitReason) * len(ExitTag)
 
 
 #: Tags the paper counts as scheduler-tick-management overhead.

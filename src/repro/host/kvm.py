@@ -46,12 +46,43 @@ from repro.host.sched import HostScheduler
 from repro.host.vcpu import VCpu, VcpuState
 from repro.metrics.counters import ExitCounters
 from repro.sim.engine import Simulator
+from repro.sim.timebase import SEC, CpuClock
 
 #: Hypercall numbers.
 HC_PARATICK_SET_PERIOD = 1
 
 #: Safety bound on zero-duration guest ops handled back-to-back.
 _MAX_OP_CHAIN = 100_000
+
+# Enum members read on every VM exit and entry, bound once: on CPython
+# 3.11 each ``VcpuState.X`` read goes through the Enum metaclass and
+# costs several times a global lookup.
+_PARKED = (VcpuState.SUSPENDED, VcpuState.OFF)
+_GUEST = VcpuState.GUEST
+_EXITED = VcpuState.EXITED
+_VMX = CycleDomain.VMX_TRANSITION
+_POLLUTION = CycleDomain.POLLUTION
+_HANDLER = CycleDomain.HOST_HANDLER
+
+
+class _CycleNs(dict):
+    """``CpuClock.cycles_to_ns`` memoized per cycle count.
+
+    The exit path charges a few distinct constant costs of the frozen
+    :class:`CostModel` (handlers, entry with N injected vectors, block,
+    wake, context switch) millions of times; each is rounded up exactly
+    as the clock rounds it, once per distinct count.
+    """
+
+    __slots__ = ("clock",)
+
+    def __init__(self, clock: CpuClock):
+        super().__init__()
+        self.clock = clock
+
+    def __missing__(self, cycles: int) -> int:
+        ns = self[cycles] = self.clock.cycles_to_ns(cycles)
+        return ns
 
 
 class VirtualMachine:
@@ -133,6 +164,8 @@ class Hypervisor:
         self.tsc = Tsc(sim, machine.clock)
         self.arch = arch
         self.timerhw = make_timer_hardware(arch, self)
+        #: ns of each constant cycle cost (see :class:`_CycleNs`).
+        self.cost_ns = _CycleNs(machine.clock)
         self.sched = HostScheduler(machine.spec.total_cpus)
         self.vms: list[VirtualMachine] = []
         self._host_tick_events: dict[int, object] = {}
@@ -197,7 +230,7 @@ class Hypervisor:
         after the backend latency.
         """
         vcpu = vm.vcpus[vcpu_index]
-        backend_ns = self.machine.clock.cycles_to_ns(self.costs.host_io_backend)
+        backend_ns = self.cost_ns[self.costs.host_io_backend]
         vcpu.pcpu.account(CycleDomain.HOST_IO, backend_ns)
         self.sim.schedule(backend_ns, self._deliver_io_completion, vm, vcpu_index, req, vector)
 
@@ -397,6 +430,9 @@ class _VcpuExec:
         "vcpu",
         "costs",
         "clock",
+        "_ns",
+        "_exit_hw_ns",
+        "_pollution_ns",
         "preempt_timer",
         "_cur_op",
         "_cur_start",
@@ -421,6 +457,9 @@ class _VcpuExec:
         self.vcpu = vcpu
         self.costs = hv.costs
         self.clock = hv.machine.clock
+        self._ns = hv.cost_ns
+        self._exit_hw_ns = self._ns[self.costs.vmexit_hw]
+        self._pollution_ns = self._ns[self.costs.pollution]
         self.preempt_timer = PreemptionTimer(
             hv.sim, self._on_preempt_timer, name=f"{vm.name}/vcpu{vcpu.index}"
         )
@@ -580,7 +619,7 @@ class _VcpuExec:
     def _enter_guest(self) -> None:
         """Begin the VM-entry sequence (we hold the physical CPU)."""
         vcpu = self.vcpu
-        if vcpu.state in (VcpuState.SUSPENDED, VcpuState.OFF):
+        if vcpu.state in _PARKED:
             return  # parked by a VM suspend (or torn down) mid-transition
         self._cancel_host_deadline()
         self.hv.ensure_host_tick(vcpu.pcpu.index)
@@ -602,22 +641,21 @@ class _VcpuExec:
                 tuple(int(v) for v in vectors),
             )
         c = self.costs
-        entry_cycles = c.vmentry_hw + c.inject_irq * len(vectors)
-        entry_ns = self.clock.cycles_to_ns(entry_cycles)
-        pollution_ns = self.clock.cycles_to_ns(c.pollution)
+        entry_ns = self._ns[c.vmentry_hw + c.inject_irq * len(vectors)]
+        pollution_ns = self._pollution_ns
         self.sim.schedule(entry_ns + pollution_ns, self._entered, vectors, entry_ns, pollution_ns)
 
     def _entered(self, vectors: tuple, entry_ns: int, pollution_ns: int) -> None:
         vcpu = self.vcpu
-        vcpu.pcpu.account(CycleDomain.VMX_TRANSITION, entry_ns)
-        vcpu.pcpu.account(CycleDomain.POLLUTION, pollution_ns)
-        if vcpu.state in (VcpuState.SUSPENDED, VcpuState.OFF):
+        vcpu.pcpu.account(_VMX, entry_ns)
+        vcpu.pcpu.account(_POLLUTION, pollution_ns)
+        if vcpu.state in _PARKED:
             # Frozen mid-entry: the drained vectors go back to pending so
             # the post-resume entry injects them again.
             for v in vectors:
                 vcpu.post_irq(v)
             return
-        vcpu.state = VcpuState.GUEST
+        vcpu.state = _GUEST
         deadline = vcpu.guest_deadline_ns
         if (
             self.hv.features.paratick_rate_adapt
@@ -639,36 +677,40 @@ class _VcpuExec:
 
     def _next_op(self) -> None:
         kernel = self.vm.kernel
-        vcpu = self.vcpu
-        for _ in range(_MAX_OP_CHAIN):
-            op = kernel.next_op(vcpu.index)
-            if op is None:
-                self.shutdown()
-                return
-            if isinstance(op, gops.Compute):
-                if op.cycles == 0:
+        vidx = self.vcpu.index
+        chain = 0
+        while True:
+            op = kernel.next_op(vidx)
+            cls = op.__class__
+            if cls is gops.Pause and not self.hv.features.ple:
+                # Without pause-loop exiting, spinning is just compute.
+                op, cls = gops.Compute(op.cycles, CycleDomain.GUEST_KERNEL), gops.Compute
+            if cls is gops.Compute:
+                cycles = op.cycles
+                if cycles == 0:
                     if op.on_done is not None:
                         op.on_done()
+                    chain += 1
+                    if chain == _MAX_OP_CHAIN:
+                        raise HostError(f"{self.vcpu!r}: guest op stream made no progress")
                     continue
                 self._cur_op = op
                 self._cur_start = self.sim.now
-                self._cur_dur = self.clock.cycles_to_ns(op.cycles)
-                self._cur_event = self.sim.schedule(self._cur_dur, self._compute_done)
+                # CpuClock.cycles_to_ns inlined (cycles > 0): one ceil per op.
+                self._cur_dur = dur = -(-cycles * SEC // self.clock.freq_hz)
+                self._cur_event = self.sim.schedule(dur, self._compute_done)
                 return
-            if isinstance(op, gops.Pause) and not self.hv.features.ple:
-                # Without pause-loop exiting, spinning is just compute.
-                self._cur_op = gops.Compute(op.cycles, CycleDomain.GUEST_KERNEL)
-                self._cur_start = self.sim.now
-                self._cur_dur = self.clock.cycles_to_ns(op.cycles)
-                self._cur_event = self.sim.schedule(self._cur_dur, self._compute_done)
+            if op is None:
+                self.shutdown()
                 return
             self._sync_exit(op)
             return
-        raise HostError(f"{vcpu!r}: guest op stream made no progress")
 
     def _compute_done(self) -> None:
         op = self._cur_op
-        self.vcpu.pcpu.account(op.domain, self.sim.now - self._cur_start)
+        # The event fired exactly _cur_dur after _cur_start (only ever
+        # cancelled, never moved).
+        self.vcpu.pcpu.account(op.domain, self._cur_dur)
         self._cur_op = self._cur_event = None
         if op.on_done is not None:
             op.on_done()
@@ -737,7 +779,7 @@ class _VcpuExec:
         re-entering the guest.
         """
         vcpu = self.vcpu
-        vcpu.state = VcpuState.EXITED
+        vcpu.state = _EXITED
         self.preempt_timer.stop()
         self.vm.counters.record(vcpu.index, reason, tag)
         if self.sim.trace.enabled:
@@ -745,20 +787,19 @@ class _VcpuExec:
                 self.sim.now, f"{self.vm.name}/vcpu{vcpu.index}", "vmexit",
                 (reason.value, tag.value),
             )
-        c = self.costs
-        exit_hw_ns = self.clock.cycles_to_ns(c.vmexit_hw)
-        handler_ns = self.clock.cycles_to_ns(handler_cycles)
+        exit_hw_ns = self._exit_hw_ns
+        handler_ns = self._ns[handler_cycles]
         self.sim.schedule(
             exit_hw_ns + handler_ns, self._exit_work_done, exit_hw_ns, handler_ns, effect, then
         )
 
     def _exit_work_done(self, exit_hw_ns, handler_ns, effect, then) -> None:
         pcpu = self.vcpu.pcpu
-        pcpu.account(CycleDomain.VMX_TRANSITION, exit_hw_ns)
-        pcpu.account(CycleDomain.HOST_HANDLER, handler_ns)
+        pcpu.account(_VMX, exit_hw_ns)
+        pcpu.account(_HANDLER, handler_ns)
         if effect is not None:
             effect()
-        if self.vcpu.state in (VcpuState.OFF, VcpuState.SUSPENDED):
+        if self.vcpu.state in _PARKED:
             # Shut down by the effect, or frozen by a VM suspend while
             # the handler ran: the hypervisor-side effect still retired,
             # but the continuation parks until resume (or forever).
@@ -842,7 +883,7 @@ class _VcpuExec:
 
     def _block(self) -> None:
         vcpu = self.vcpu
-        block_ns = self.clock.cycles_to_ns(self.costs.block_vcpu)
+        block_ns = self._ns[self.costs.block_vcpu]
         vcpu.state = VcpuState.HALTED
         vcpu.halted_since_ns = self.sim.now
         self._arm_host_deadline()
@@ -904,7 +945,7 @@ class _VcpuExec:
         if self.sim.trace.enabled:
             self._trace("sched_dispatch", (vcpu.pcpu.index, stolen_ns))
         vcpu.state = VcpuState.EXITED
-        ctx_ns = self.clock.cycles_to_ns(self.costs.ctx_switch)
+        ctx_ns = self._ns[self.costs.ctx_switch]
         ctx_ns += extra_ns + self._pending_sched_ns
         self._pending_sched_ns = 0
         self.vcpu.pcpu.account(CycleDomain.HOST_SCHED, ctx_ns)
@@ -951,7 +992,7 @@ class _VcpuExec:
         wake_cycles = self.costs.wake_vcpu
         if cross_socket:
             wake_cycles = int(wake_cycles * self.hv.machine.spec.cross_socket_penalty)
-        wake_ns = self.clock.cycles_to_ns(wake_cycles)
+        wake_ns = self._ns[wake_cycles]
         cstate = vcpu.requested_cstate
         if cstate is not None:
             # cpuidle model: the deeper the state, the longer the exit.
@@ -1017,9 +1058,7 @@ class _VcpuExec:
             # Tick arrived while already in root mode: host-side work only,
             # no VM exit. Runs concurrently with the in-flight exit
             # processing (approximation: does not stretch the sequence).
-            self.vcpu.pcpu.account(
-                CycleDomain.HOST_TICK, self.clock.cycles_to_ns(self.costs.host_tick_handler)
-            )
+            self.vcpu.pcpu.account(CycleDomain.HOST_TICK, self._ns[self.costs.host_tick_handler])
 
     def _preempt_requeue(self) -> None:
         """Host tick boundary with waiters: rotate this CPU (overcommit)."""

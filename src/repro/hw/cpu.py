@@ -52,6 +52,17 @@ class CycleDomain(enum.Enum):
     #: KVM halt-polling busy-wait cycles.
     HALT_POLL = "halt_poll"
 
+    #: Position in definition order: the domain's slot in a CPU's ledger
+    #: list (indexing by it avoids hashing the member on every account).
+    slot: int
+
+
+for _slot, _domain in enumerate(CycleDomain):
+    _domain.slot = _slot
+del _slot, _domain
+
+_DOMAINS = tuple(CycleDomain)
+
 
 #: Domains counted as virtualization overhead in reports.
 OVERHEAD_DOMAINS = frozenset(
@@ -75,7 +86,8 @@ class PhysicalCPU:
         self.index = index
         self.socket = socket
         self.clock = clock
-        self._busy_ns: dict[CycleDomain, int] = {d: 0 for d in CycleDomain}
+        #: Busy ns per domain, indexed by ``CycleDomain.slot``.
+        self._busy_ns = [0] * len(_DOMAINS)
         #: Ledger observer (the obs-layer sampling profiler). None in
         #: production runs, so the hot path pays one attribute check —
         #: the accounting analogue of ``Tracer.enabled``.
@@ -87,7 +99,7 @@ class PhysicalCPU:
         """Record ``ns`` nanoseconds of busy time in ``domain``."""
         if ns < 0:
             raise HardwareError(f"cpu{self.index}: negative busy time {ns}")
-        self._busy_ns[domain] += ns
+        self._busy_ns[domain.slot] += ns
         if self.observer is not None:
             self.observer.on_account(self, domain, ns)
 
@@ -102,16 +114,16 @@ class PhysicalCPU:
     def busy_ns(self, domain: Optional[CycleDomain] = None) -> int:
         """Busy nanoseconds in one domain, or total across all."""
         if domain is not None:
-            return self._busy_ns[domain]
-        return sum(self._busy_ns.values())
+            return self._busy_ns[domain.slot]
+        return sum(self._busy_ns)
 
     def busy_cycles(self, domain: Optional[CycleDomain] = None) -> int:
         """Busy cycles (ns converted at the nominal clock)."""
         return self.clock.ns_to_cycles(self.busy_ns(domain))
 
     def ledger(self) -> dict[CycleDomain, int]:
-        """Copy of the per-domain busy-ns table."""
-        return dict(self._busy_ns)
+        """Copy of the per-domain busy-ns table, in ``CycleDomain`` order."""
+        return dict(zip(_DOMAINS, self._busy_ns))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<pCPU{self.index} socket={self.socket} busy={self.busy_ns()}ns>"

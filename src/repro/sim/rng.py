@@ -8,13 +8,20 @@ rely on:
 * **stream independence** — adding a new noise source (a new stream name)
   does not perturb the draws seen by existing components, so A/B
   comparisons between tick modes share identical workload randomness.
+
+numpy is imported on first use, not with this module: a CLI process
+answering from the cache never draws a number and should not pay the
+import (``repro.experiments.parallel.run_grid`` imports it before forking
+pool workers so each worker does not pay it again).
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class RngStreams:
@@ -28,6 +35,8 @@ class RngStreams:
 
     @staticmethod
     def _derive(root_seed: int, name: str) -> np.random.SeedSequence:
+        import numpy as np
+
         # Hash the stream name to integers so the derivation is stable
         # across Python versions (str hashing is salted, hashlib is not).
         digest = hashlib.sha256(name.encode("utf-8")).digest()
@@ -38,6 +47,8 @@ class RngStreams:
         """Return the generator for ``name``, creating it on first use."""
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             gen = np.random.Generator(np.random.PCG64(self._derive(self.root_seed, name)))
             self._streams[name] = gen
         return gen

@@ -122,3 +122,141 @@ class TestProperties:
         expected = sorted(h.expires_jiffies for h in handles[1::2])
         out = w.advance_to(max(deltas) + 1)
         assert sorted(t.expires_jiffies for t in out) == expected
+
+
+class _ReferenceWheel:
+    """The wheel before cached expiry and lazy buckets: 8 x 64 eager
+    buckets and a full scan per ``next_expiry``. Only the tie order of
+    fired timers is not obvious from a brute-force model, and this is
+    the code that defined it."""
+
+    BITS, SIZE, LEVELS = 6, 64, 8
+
+    def __init__(self) -> None:
+        self.buckets = [[[] for _ in range(self.SIZE)] for _ in range(self.LEVELS)]
+        self.current = 0
+        self.count = 0
+
+    def _place(self, t) -> None:
+        delta = max(t.expires_jiffies - self.current, 0)
+        level, span = 0, self.SIZE
+        while delta >= span and level < self.LEVELS - 1:
+            level += 1
+            span <<= self.BITS
+        self.buckets[level][(t.expires_jiffies >> (level * self.BITS)) & (self.SIZE - 1)].append(t)
+
+    def add(self, expires: int, name: str):
+        from repro.guest.timerwheel import WheelTimer
+
+        t = WheelTimer(max(expires, self.current + 1), lambda: None, name)
+        self._place(t)
+        self.count += 1
+        return t
+
+    def cancel(self, t) -> bool:
+        if not t._active:
+            return False
+        t._active = False
+        self.count -= 1
+        return True
+
+    def advance_to(self, jiffies: int) -> list:
+        fired: list = []
+        while self.current < jiffies:
+            self.current += 1
+            cur = self.current
+            self._drain(self.buckets[0][cur & (self.SIZE - 1)], fired)
+            for level in range(1, self.LEVELS):
+                bits = level * self.BITS
+                if cur & ((1 << bits) - 1):
+                    break
+                self._drain(self.buckets[level][(cur >> bits) & (self.SIZE - 1)], fired)
+        fired.sort(key=lambda t: t.expires_jiffies)
+        return fired
+
+    def _drain(self, bucket: list, fired: list) -> None:
+        pending = [t for t in bucket if t._active]
+        bucket.clear()
+        for t in pending:
+            if t.expires_jiffies <= self.current:
+                t._active = False
+                self.count -= 1
+                fired.append(t)
+            else:
+                self._place(t)
+
+
+#: Offsets from the current jiffy reaching every level (level 7 starts
+#: at 64**7 = 2**42), including past expiries that the wheel clamps.
+_DELTAS = st.one_of(
+    st.integers(-3, 70),
+    st.integers(64, 5_000),
+    st.integers(4_096, 300_000),
+    st.integers(1 << 18, 1 << 36),
+    st.integers(1 << 36, 1 << 50),
+)
+_WHEEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _DELTAS),
+        st.tuples(st.just("cancel"), st.integers(0, 1_000)),
+        st.tuples(st.just("advance"), st.one_of(st.integers(0, 80), st.integers(64, 4_200))),
+    ),
+    max_size=50,
+)
+
+
+class TestAgainstReference:
+    """Random add/cancel/advance interleavings against a reference wheel
+    and a brute-force model of the live timers."""
+
+    @pytest.mark.parametrize("query_every_step", [True, False])
+    @given(ops=_WHEEL_OPS, queries=st.lists(st.booleans(), min_size=50, max_size=50))
+    @settings(max_examples=120, deadline=None)
+    def test_interleavings_match(self, query_every_step, ops, queries):
+        w, ref = TimerWheel(), _ReferenceWheel()
+        mine: list = []
+        theirs: list = []
+        for step, (kind, arg) in enumerate(ops):
+            if kind == "add":
+                expires = w.current_jiffies + arg
+                mine.append(w.add(expires, lambda: None, name=str(len(mine))))
+                theirs.append(ref.add(expires, name=str(len(theirs))))
+                assert mine[-1].expires_jiffies == theirs[-1].expires_jiffies
+            elif kind == "cancel" and mine:
+                i = arg % len(mine)
+                assert w.cancel(mine[i]) == ref.cancel(theirs[i])
+            elif kind == "advance":
+                target = w.current_jiffies + arg
+                due = {t.name for t in mine if t.active and t.expires_jiffies <= target}
+                got = [t.name for t in w.advance_to(target)]
+                assert got == [t.name for t in ref.advance_to(target)]
+                assert set(got) == due and len(got) == len(due)
+            live = [t.expires_jiffies for t in mine if t.active]
+            assert len(w) == ref.count == len(live)
+            if query_every_step or queries[step]:
+                assert w.next_expiry() == (min(live) if live else None)
+        live = [t.expires_jiffies for t in mine if t.active]
+        assert w.next_expiry() == (min(live) if live else None)
+
+    def test_cached_expiry_survives_cascade_and_is_refreshed_after_fire(self):
+        w = TimerWheel()
+        a = w.add(70, lambda: None)  # level 1, cascades to level 0 at 64
+        w.add(5_000, lambda: None)
+        assert w.next_expiry() == 70
+        assert w.advance_to(64) == []
+        assert w.next_expiry() == 70
+        assert w.advance_to(70) == [a]
+        assert w.next_expiry() == 5_000
+        w.add(100, lambda: None)
+        assert w.next_expiry() == 100
+
+    def test_cancel_of_earliest_rescans(self):
+        w = TimerWheel()
+        first = w.add(10, lambda: None)
+        w.add(10, lambda: None, name="twin")
+        w.add(400, lambda: None)
+        assert w.next_expiry() == 10
+        w.cancel(first)
+        assert w.next_expiry() == 10
+        assert [t.name for t in w.advance_to(10)] == ["twin"]
+        assert w.next_expiry() == 400

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import MachineSpec
 from repro.errors import ConfigError, HardwareError
@@ -105,3 +108,23 @@ class TestMachine:
         assert CycleDomain.GUEST_USER not in OVERHEAD_DOMAINS
         assert CycleDomain.VMX_TRANSITION in OVERHEAD_DOMAINS
         assert CycleDomain.HOST_HANDLER in OVERHEAD_DOMAINS
+
+
+class TestLedgerMatchesReference:
+    """The int-indexed ledger against a plain per-domain Counter."""
+
+    @given(stream=st.lists(st.tuples(st.sampled_from(list(CycleDomain)),
+                                     st.integers(0, 10**12)), max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_account_stream(self, stream):
+        cpu = make_machine(sockets=1, cpus_per_socket=1).cpu(0)
+        ref: Counter = Counter()
+        for domain, ns in stream:
+            cpu.account(domain, ns)
+            ref[domain] += ns
+        ledger = cpu.ledger()
+        assert list(ledger) == list(CycleDomain)
+        assert ledger == {d: ref[d] for d in CycleDomain}
+        assert cpu.busy_ns() == sum(ref.values())
+        for d in CycleDomain:
+            assert cpu.busy_ns(d) == ref[d]

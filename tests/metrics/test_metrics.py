@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
-from repro.host.exitreasons import ExitReason, ExitTag
+from repro.host.exitreasons import TIMER_TAGS, ExitReason, ExitTag
 from repro.metrics.aggregate import aggregate_improvements
-from repro.metrics.counters import ExitCounters
+from repro.metrics.counters import ExitCounters, ExitRecordKey
 from repro.metrics.perf import RunMetrics
 from repro.metrics.report import Comparison, compare_runs, format_table
 
@@ -259,3 +261,84 @@ class TestMergeRunMetrics:
         assert m.extra["steal_ns"] == sum(values)
         assert m.exec_time_ns == max(values)
         assert isinstance(m.extra["steal_ns"], int)
+
+
+class _ReferenceCounters:
+    """The Counter-keyed ExitCounters the int-indexed table replaced."""
+
+    def __init__(self) -> None:
+        self.by_key: Counter = Counter()
+        self.by_vcpu: Counter = Counter()
+
+    def record(self, vcpu: int, reason: ExitReason, tag: ExitTag) -> None:
+        self.by_key[ExitRecordKey(reason, tag)] += 1
+        self.by_vcpu[vcpu] += 1
+
+    def merge(self, other: "_ReferenceCounters") -> "_ReferenceCounters":
+        out = _ReferenceCounters()
+        out.by_key = self.by_key + other.by_key
+        out.by_vcpu = self.by_vcpu + other.by_vcpu
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            "by_key": [[k.reason.value, k.tag.value, c] for k, c in sorted(
+                self.by_key.items(), key=lambda kc: (kc[0].reason.value, kc[0].tag.value))],
+            "by_vcpu": {str(i): c for i, c in sorted(self.by_vcpu.items())},
+        }
+
+
+_EXIT_STREAM = st.lists(
+    st.tuples(st.integers(0, 6), st.sampled_from(list(ExitReason)), st.sampled_from(list(ExitTag))),
+    max_size=60,
+)
+
+
+class TestExitCountersMatchReference:
+    """Random record streams into the table and into the reference."""
+
+    @staticmethod
+    def _both(stream):
+        new, ref = ExitCounters(), _ReferenceCounters()
+        for vcpu, reason, tag in stream:
+            new.record(vcpu, reason, tag)
+            ref.record(vcpu, reason, tag)
+        return new, ref
+
+    @staticmethod
+    def _assert_same(new: ExitCounters, ref: _ReferenceCounters) -> None:
+        assert new.breakdown() == dict(ref.by_key)
+        order = [(k.reason, k.tag) for k in new.breakdown()]
+        assert order == sorted(order, key=lambda rt: (list(ExitReason).index(rt[0]),
+                                                     list(ExitTag).index(rt[1])))
+        assert new.to_dict() == ref.to_dict()
+        assert new.total == sum(ref.by_key.values())
+        for reason in ExitReason:
+            assert new.by_reason(reason) == sum(c for k, c in ref.by_key.items() if k.reason is reason)
+        tags: Counter = Counter()
+        for k, c in ref.by_key.items():
+            tags[k.tag] += c
+        assert new.tag_breakdown() == dict(tags)
+        assert new.timer_related == sum(tags[t] for t in TIMER_TAGS)
+        assert new.by_tags([ExitTag.IPI, ExitTag.IPI, ExitTag.IO]) == tags[ExitTag.IPI] + tags[ExitTag.IO]
+        for vcpu in range(8):
+            assert new.for_vcpu(vcpu) == ref.by_vcpu[vcpu]
+
+    @given(stream=_EXIT_STREAM)
+    @settings(max_examples=100, deadline=None)
+    def test_record_and_round_trip(self, stream):
+        new, ref = self._both(stream)
+        self._assert_same(new, ref)
+        back = ExitCounters.from_dict(json.loads(json.dumps(new.to_dict())))
+        assert back == new
+        self._assert_same(back, ref)
+
+    @given(a=_EXIT_STREAM, b=_EXIT_STREAM)
+    @settings(max_examples=100, deadline=None)
+    def test_merge_and_equality(self, a, b):
+        new_a, ref_a = self._both(a)
+        new_b, ref_b = self._both(b)
+        self._assert_same(new_a.merge(new_b), ref_a.merge(ref_b))
+        self._assert_same(new_a.merge(ExitCounters()), ref_a)
+        assert (new_a == new_b) == (ref_a.by_key == ref_b.by_key and ref_a.by_vcpu == ref_b.by_vcpu)
+        assert new_a == self._both(list(reversed(a)))[0]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,3 +59,30 @@ class TestStreams:
         n = 20_000
         xs = [r.exponential_ns("m", 1000.0) for _ in range(n)]
         assert sum(xs) / n == pytest.approx(1000.0, rel=0.05)
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's repro."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout.strip()
+
+
+class TestLazyNumpy:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        assert _fresh_python("import sys, repro.cli; print('numpy' in sys.modules)") == "False"
+
+    def test_first_draw_imports_numpy(self):
+        code = ("import sys; from repro.sim.rng import RngStreams; "
+                "n = RngStreams(3).uniform_ns('a', 1, 9); print('numpy' in sys.modules, 1 <= n <= 9)")
+        assert _fresh_python(code) == "True True"
+
+    def test_fork_pool_context_preloads_numpy(self):
+        code = ("import sys, multiprocessing; from repro.experiments.parallel import _pool_context; "
+                "ctx = _pool_context(); "
+                "print(ctx.get_start_method() != 'fork' or 'numpy' in sys.modules)")
+        assert _fresh_python(code) == "True"
