@@ -28,21 +28,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.checkers import TickSanitizer
-from repro.analysis.reconcile import reconcile_run
+from repro.analysis.reconcile import sanitized_run
 from repro.config import MachineSpec, TickMode
-from repro.errors import ReproError
-from repro.experiments.runner import run_workload
+from repro.experiments.parallel import RunSpec, WorkloadSpec, run_spec
 from repro.host.perturb import Perturbation
 from repro.metrics.perf import RunMetrics
 from repro.sim.rng import RngStreams
 from repro.sim.timebase import MSEC, USEC
 from repro.workloads.base import Workload
-from repro.workloads.micro import (
-    IdlePeriodWorkload,
-    IdleWorkload,
-    PingPongWorkload,
-    SyncStormWorkload,
-)
 
 #: Relative tolerance on useful cycles across tick modes; the absolute
 #: slack covers tiny runs where one noise burst dominates the ratio.
@@ -51,6 +44,14 @@ USEFUL_ABS_SLACK = 200_000
 
 #: Placement labels used in problem reports.
 SOLO, OVERCOMMIT = "solo", "overcommit"
+
+#: Fuzz scenario kind -> registered workload-factory kind.
+WORKLOAD_KINDS = {
+    "pingpong": "micro.pingpong",
+    "syncstorm": "micro.syncstorm",
+    "idleperiod": "micro.idleperiod",
+    "idle": "micro.idle",
+}
 
 
 @dataclass(frozen=True)
@@ -68,26 +69,28 @@ class FuzzScenario:
     def param(self, name: str) -> int:
         return dict(self.params)[name]
 
-    def make_workload(self) -> Workload:
-        """A fresh workload instance (task generators are single-use)."""
+    def workload_spec(self) -> WorkloadSpec:
+        """The scenario's workload as a grid-compatible :class:`WorkloadSpec`."""
         p = dict(self.params)
         if self.kind == "pingpong":
-            return PingPongWorkload(
-                rounds=p["rounds"], work_cycles=p["work_cycles"],
-                same_vcpu=bool(p["same_vcpu"]),
-            )
-        if self.kind == "syncstorm":
-            return SyncStormWorkload(
-                threads=p["threads"], events_per_second=float(p["events_hz"]),
-                duration_cycles=p["duration_cycles"],
-            )
-        if self.kind == "idleperiod":
-            return IdlePeriodWorkload(
-                p["idle_ns"], iterations=p["iterations"], work_cycles=p["work_cycles"],
-            )
-        if self.kind == "idle":
-            return IdleWorkload(vcpus=p["vcpus"])
-        raise ValueError(f"unknown scenario kind {self.kind!r}")
+            params = {"rounds": p["rounds"], "work_cycles": p["work_cycles"],
+                      "same_vcpu": bool(p["same_vcpu"])}
+        elif self.kind == "syncstorm":
+            params = {"threads": p["threads"],
+                      "events_per_second": float(p["events_hz"]),
+                      "duration_cycles": p["duration_cycles"]}
+        elif self.kind == "idleperiod":
+            params = {"idle_ns": p["idle_ns"], "iterations": p["iterations"],
+                      "work_cycles": p["work_cycles"]}
+        elif self.kind == "idle":
+            params = {"vcpus": p["vcpus"]}
+        else:
+            raise ValueError(f"unknown scenario kind {self.kind!r}")
+        return WorkloadSpec.make(WORKLOAD_KINDS[self.kind], **params)
+
+    def make_workload(self) -> Workload:
+        """A fresh workload instance (task generators are single-use)."""
+        return self.workload_spec().build()
 
     def describe(self) -> str:
         knobs = ", ".join(f"{k}={v}" for k, v in self.params)
@@ -188,6 +191,39 @@ def placement_for(nvcpus: int, placement: str) -> tuple[MachineSpec, tuple[int, 
     return spec, tuple(i % pcpus for i in range(nvcpus))
 
 
+def scenario_spec(
+    scenario: FuzzScenario,
+    mode: TickMode,
+    *,
+    placement: str = SOLO,
+    perturbations: tuple[Perturbation, ...] = (),
+    arch: str = "x86",
+    label: Optional[str] = None,
+) -> RunSpec:
+    """One (mode, placement) cell of a scenario as a grid spec.
+
+    The label defaults to ``fuzz<seed>/<kind>/<mode>/<placement>``.
+    """
+    ws = scenario.workload_spec()
+    nvcpus = ws.build().default_vcpus()
+    mspec, pinned = placement_for(nvcpus, placement)
+    return RunSpec(
+        workload=ws,
+        tick_mode=mode,
+        seed=scenario.seed,
+        vcpus=nvcpus,
+        machine=mspec,
+        pinned_cpus=pinned,
+        tick_hz=scenario.tick_hz,
+        noise=scenario.noise,
+        cpuidle=scenario.cpuidle,
+        horizon_ns=scenario.horizon_ns,
+        perturbations=perturbations,
+        arch=arch,
+        label=label or f"fuzz{scenario.seed}/{scenario.kind}/{mode.value}/{placement}",
+    )
+
+
 def run_scenario(
     scenario: FuzzScenario,
     mode: TickMode,
@@ -196,59 +232,19 @@ def run_scenario(
     perturbations: tuple[Perturbation, ...] = (),
     arch: str = "x86",
 ) -> tuple[Optional[RunMetrics], TickSanitizer, list[str]]:
-    """One sanitized run; returns (metrics, sanitizer, problems).
+    """One sanitized run of :func:`scenario_spec`; returns (metrics,
+    sanitizer, problems).
 
-    Alongside the sanitizer, a :class:`~repro.obs.steal.StealTracker`
-    rides the same event stream (via a tee) so the reconcile battery
-    can cross-check trace-derived steal against the runtime counters
-    and the pCPU busy timeline — the overcommit placements are exactly
-    where steal accounting is exercised.
+    The battery is :func:`repro.analysis.reconcile.sanitized_run`: its
+    steal tracker rides the same event stream as the sanitizer, and the
+    overcommit placements are exactly where steal accounting is
+    exercised.
     """
-    from repro.obs.steal import StealTracker
-    from repro.sim.trace import TeeTracer
-
-    workload = scenario.make_workload()
-    nvcpus = workload.default_vcpus()
-    mspec, pinned = placement_for(nvcpus, placement)
-    sanitizer = TickSanitizer(mode=mode)
-    steal = StealTracker()
-    internals: dict = {}
-
-    def inspect(sim, machine, hv, vm) -> None:
-        internals["machine"] = machine
-        internals["now"] = sim.now
-        internals["hv"] = hv
-
-    try:
-        metrics = run_workload(
-            workload,
-            tick_mode=mode,
-            machine_spec=mspec,
-            pinned_cpus=pinned,
-            tick_hz=scenario.tick_hz,
-            seed=scenario.seed,
-            noise=scenario.noise,
-            cpuidle=scenario.cpuidle,
-            horizon_ns=scenario.horizon_ns,
-            perturbations=perturbations,
-            arch=arch,
-            tracer=TeeTracer(sanitizer, steal),
-            inspect=inspect,
-            label=f"fuzz{scenario.seed}/{scenario.kind}/{mode.value}/{placement}",
-        )
-    except ReproError as exc:
-        sanitizer.finish()
-        return None, sanitizer, [f"run failed: {type(exc).__name__}: {exc}"]
-    problems = [str(v) for v in sanitizer.finish()]
-    problems += reconcile_run(
-        sanitizer, metrics,
-        freq_hz=mspec.freq_hz,
-        machine=internals.get("machine"),
-        now_ns=internals.get("now"),
-        steal_tracker=steal,
-        hv=internals.get("hv"),
+    spec = scenario_spec(scenario, mode, placement=placement,
+                         perturbations=perturbations, arch=arch)
+    return sanitized_run(
+        lambda tracer, inspect: run_spec(spec, tracer=tracer, inspect=inspect), mode
     )
-    return metrics, sanitizer, problems
 
 
 def differential_problems(per_mode: dict[TickMode, RunMetrics]) -> list[str]:

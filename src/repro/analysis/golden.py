@@ -31,8 +31,9 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
-from repro.analysis.fuzz import SOLO, OVERCOMMIT, placement_for, scenario_for_seed
+from repro.analysis.fuzz import SOLO, OVERCOMMIT, scenario_for_seed, scenario_spec
 from repro.config import MachineSpec, TickMode
+from repro.experiments.parallel import run_spec
 from repro.experiments.runner import run_workload
 from repro.host.perturb import Perturbation
 from repro.metrics.perf import RunMetrics
@@ -126,15 +127,10 @@ def _workload_cases() -> Iterator[tuple[str, Callable, dict]]:
     )
 
 
-def _run_workload_case(
-    name: str, factory: Callable, kwargs: dict, mode: TickMode, arch: str = "x86"
-) -> dict:
+def _traced_case(workload, **kwargs) -> dict:
+    """One traced run → fixture entry (metrics + event-stream hash)."""
     tracer = HashTracer()
-    prefix = "golden" if arch == "x86" else f"golden-{arch}"
-    metrics = run_workload(
-        factory(), tick_mode=mode, tracer=tracer, arch=arch,
-        label=f"{prefix}/{name}/{mode.value}", **kwargs,
-    )
+    metrics = run_workload(workload, tracer=tracer, **kwargs)
     return {
         "metrics": metrics.to_json_dict(),
         "trace_sha256": tracer.hexdigest(),
@@ -142,28 +138,22 @@ def _run_workload_case(
     }
 
 
+def _run_workload_case(
+    name: str, factory: Callable, kwargs: dict, mode: TickMode, arch: str = "x86"
+) -> dict:
+    prefix = "golden" if arch == "x86" else f"golden-{arch}"
+    return _traced_case(factory(), tick_mode=mode, arch=arch,
+                        label=f"{prefix}/{name}/{mode.value}", **kwargs)
+
+
 def _run_fuzz_case(seed: int, mode: TickMode, placement: str, arch: str = "x86") -> str:
     """One untraced (production fast path) fuzz-scenario run → metrics hash."""
     scenario = scenario_for_seed(seed)
-    workload = scenario.make_workload()
-    mspec, pinned = placement_for(workload.default_vcpus(), placement)
     label = f"fuzz{seed}/{scenario.kind}/{mode.value}/{placement}"
     if arch != "x86":
         label += f"/{arch}"
-    metrics = run_workload(
-        workload,
-        tick_mode=mode,
-        machine_spec=mspec,
-        pinned_cpus=pinned,
-        tick_hz=scenario.tick_hz,
-        seed=scenario.seed,
-        noise=scenario.noise,
-        cpuidle=scenario.cpuidle,
-        horizon_ns=scenario.horizon_ns,
-        arch=arch,
-        label=label,
-    )
-    return metrics_digest(metrics)
+    spec = scenario_spec(scenario, mode, placement=placement, arch=arch, label=label)
+    return metrics_digest(run_spec(spec))
 
 
 def run_battery(
@@ -221,17 +211,10 @@ def _perturb_workload():
 
 def run_perturb_case(name: str, schedule: tuple, mode: TickMode) -> dict:
     """One traced perturbed run → fixture entry (metrics + stream hash)."""
-    tracer = HashTracer()
-    metrics = run_workload(
+    return _traced_case(
         _perturb_workload(), tick_mode=mode, seed=5, cpuidle=True,
-        perturbations=schedule, tracer=tracer,
-        label=f"golden-perturb/{name}/{mode.value}",
+        perturbations=schedule, label=f"golden-perturb/{name}/{mode.value}",
     )
-    return {
-        "metrics": metrics.to_json_dict(),
-        "trace_sha256": tracer.hexdigest(),
-        "trace_records": tracer.records,
-    }
 
 
 def run_perturb_battery(progress: Optional[Callable[[str], None]] = None) -> dict:
@@ -319,14 +302,13 @@ def fleet_cases():
 def run_fleet_case(fleet) -> dict:
     """One fleet case, serially: per-host digests + the fleet aggregate.
 
-    Hosts run through :func:`repro.fleet.hostsim.execute_fleet_spec`
+    Hosts run through :func:`repro.experiments.parallel.run_spec`
     directly (no pool, no cache) — the identity gate separately proves
     the engine paths match this serial reference byte-for-byte.
     """
     from repro.fleet.aggregate import aggregate_hosts, fleet_bytes
-    from repro.fleet.hostsim import execute_fleet_spec
 
-    metrics = [execute_fleet_spec(spec)[0] for spec in fleet.host_specs()]
+    metrics = [run_spec(spec) for spec in fleet.host_specs()]
     agg = aggregate_hosts(metrics)
     return {
         "aggregate": agg.to_json_dict(),

@@ -21,14 +21,16 @@ means reconciled.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.analysis.checkers import TickSanitizer
+from repro.config import TickMode
+from repro.errors import ReproError
 from repro.hw.cpu import CycleDomain, Machine, OVERHEAD_DOMAINS
 from repro.metrics.perf import RunMetrics
 from repro.sim.timebase import CpuClock
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.checkers import TickSanitizer
     from repro.sim.engine import Simulator
 
 #: Domains that run concurrently with the vCPU timeline (see hw.cpu).
@@ -152,3 +154,39 @@ def reconcile_run(
     if steal_tracker is not None and hv is not None:
         problems += check_steal(steal_tracker, hv, machine, now_ns)
     return problems
+
+
+def sanitized_run(
+    run: Callable[..., RunMetrics], mode: TickMode
+) -> tuple[Optional[RunMetrics], TickSanitizer, list[str]]:
+    """One run under the full checking battery: ``(metrics, sanitizer, problems)``.
+
+    ``run(tracer, inspect)`` performs the run with the given hooks. A
+    :class:`~repro.analysis.checkers.TickSanitizer` and a
+    :class:`~repro.obs.steal.StealTracker` ride the trace through a tee;
+    afterwards :func:`reconcile_run` cross-checks the trace, the
+    counters, the per-CPU ledgers and steal. A run that raises
+    :class:`~repro.errors.ReproError` yields no metrics and a single
+    "run failed" problem.
+    """
+    from repro.obs.steal import StealTracker
+    from repro.sim.trace import TeeTracer
+
+    sanitizer = TickSanitizer(mode=mode)
+    steal = StealTracker()
+    seen: dict = {}
+
+    def inspect(sim, machine, hv, vms) -> None:
+        seen.update(machine=machine, now_ns=sim.now, hv=hv)
+
+    try:
+        metrics = run(TeeTracer(sanitizer, steal), inspect)
+    except ReproError as exc:
+        sanitizer.finish()
+        return None, sanitizer, [f"run failed: {type(exc).__name__}: {exc}"]
+    problems = [str(v) for v in sanitizer.finish()]
+    problems += reconcile_run(
+        sanitizer, metrics, freq_hz=seen["machine"].spec.freq_hz,
+        steal_tracker=steal, **seen,
+    )
+    return metrics, sanitizer, problems

@@ -220,27 +220,13 @@ def _cmd_list(args) -> int:
 
 def _cmd_check(args) -> int:
     """Run one PARSEC model under the tick sanitizer; exit 1 on violation."""
-    from repro.analysis.checkers import TickSanitizer
-    from repro.analysis.reconcile import reconcile_run
-    from repro.config import MachineSpec
+    from repro.analysis.reconcile import sanitized_run
 
     mode = TickMode(args.mode)
-    wl = parsec.benchmark(args.benchmark, threads=args.threads,
-                          target_cycles=args.target_mcycles * 1_000_000)
-    sanitizer = TickSanitizer(mode=mode)
-    mspec = MachineSpec()
-    internals: dict = {}
-
-    def inspect(sim, machine, hv, vm) -> None:
-        internals["machine"], internals["now"] = machine, sim.now
-
-    m = runner.run_workload(wl, tick_mode=mode, seed=args.seed,
-                            machine_spec=mspec, tracer=sanitizer, inspect=inspect)
-    problems = [str(v) for v in sanitizer.finish()]
-    problems += reconcile_run(sanitizer, m, freq_hz=mspec.freq_hz,
-                              machine=internals.get("machine"),
-                              now_ns=internals.get("now"))
-    print(f"{m.label}: {sanitizer.summary()}")
+    _, sanitizer, problems = sanitized_run(
+        lambda tracer, inspect: _run_parsec(args, tracer=tracer, inspect=inspect), mode
+    )
+    print(f"parsec.{args.benchmark}/{mode.value}: {sanitizer.summary()}")
     for p in problems:
         print(f"  VIOLATION: {p}")
     if problems:
@@ -689,17 +675,17 @@ def _write_obs_outputs(obs, args) -> None:
         print(f"wrote collapsed-stack profile: {args.collapsed_out}", file=sys.stderr)
 
 
-def _run_parsec(args, obs=None):
+def _run_parsec(args, **hooks):
+    """Run the PARSEC model the arguments name; ``hooks`` (``obs``,
+    ``tracer``, ``inspect``) pass through to ``run_workload``."""
     wl = parsec.benchmark(args.benchmark, threads=args.threads,
                           target_cycles=args.target_mcycles * 1_000_000)
-    kwargs = {}
     if getattr(args, "overcommit", False):
         from repro.analysis.fuzz import OVERCOMMIT, placement_for
 
         mspec, pinned = placement_for(wl.default_vcpus(), OVERCOMMIT)
-        kwargs.update(machine_spec=mspec, pinned_cpus=pinned)
-    return runner.run_workload(wl, tick_mode=TickMode(args.mode), seed=args.seed,
-                               obs=obs, **kwargs)
+        hooks.update(machine_spec=mspec, pinned_cpus=pinned)
+    return runner.run_workload(wl, tick_mode=TickMode(args.mode), seed=args.seed, **hooks)
 
 
 def _cmd_run(args) -> int:
@@ -732,19 +718,10 @@ def _cmd_perf(args) -> int:
     obs = _make_obs(args)
     internals: dict = {}
 
-    def inspect(sim, machine, hv, vm) -> None:
+    def inspect(sim, machine, hv, vms) -> None:
         internals["hv"] = hv
 
-    wl = parsec.benchmark(args.benchmark, threads=args.threads,
-                          target_cycles=args.target_mcycles * 1_000_000)
-    kwargs = {"inspect": inspect}
-    if args.overcommit:
-        from repro.analysis.fuzz import OVERCOMMIT, placement_for
-
-        mspec, pinned = placement_for(wl.default_vcpus(), OVERCOMMIT)
-        kwargs.update(machine_spec=mspec, pinned_cpus=pinned)
-    m = runner.run_workload(wl, tick_mode=TickMode(args.mode), seed=args.seed,
-                            obs=obs, **kwargs)
+    m = _run_parsec(args, obs=obs, inspect=inspect)
     steal = runtime_steal_summary(internals["hv"])
 
     if args.json:

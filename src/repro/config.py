@@ -109,6 +109,10 @@ class VmSpec:
     #: Timer architecture this guest targets; must match the hosting
     #: hypervisor's arch (see :mod:`repro.hw.timerhw`).
     arch: str = "x86"
+    #: §5.2.5 keep-timer heuristic of the paratick guest: leave the wake
+    #: timer armed at idle exit. False is the ablation, which cancels it
+    #: like tickless does. Ignored by the other tick modes.
+    keep_timer_on_idle_exit: bool = True
 
     def __post_init__(self) -> None:
         if self.arch not in ("x86", "arm"):

@@ -32,9 +32,12 @@ class ParatickPolicy(TickPolicy):
 
     name = "paratick"
 
-    #: Ablation knob (§5.2.5): when False, idle exit cancels the wake
-    #: timer like tickless would — the paper's heuristic keeps it armed.
-    keep_timer_on_idle_exit: bool = True
+    def __init__(self, kernel, *, keep_timer_on_idle_exit: bool = True):
+        super().__init__(kernel)
+        #: Ablation knob (§5.2.5, per VM via ``VmSpec``): when False, idle
+        #: exit cancels the wake timer like tickless would — the paper's
+        #: heuristic keeps it armed.
+        self.keep_timer_on_idle_exit = keep_timer_on_idle_exit
 
     # --------------------------------------------------------------- boot
 

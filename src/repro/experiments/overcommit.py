@@ -1,44 +1,21 @@
 """Overcommitted multi-VM scenarios: the full §3.1/§3.3 regime, simulated.
 
 The paper's Table 1 counts are analytical; this module runs the same
-W1/W2-style configurations — multiple idle or sync-churning VMs sharing
-physical CPUs — on the full simulator with host-scheduler time sharing,
-which the single-VM experiment runner does not cover.
+W1/W2-style configurations — multiple idle VMs sharing physical CPUs —
+on the full simulator with host-scheduler time sharing: the many-guest
+case of :func:`repro.experiments.assembly.assemble_host`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
-from repro.config import MachineSpec, TickMode, VmSpec
+from repro.config import MachineSpec, TickMode
 from repro.errors import ConfigError
-from repro.guest.kernel import GuestKernel
-from repro.guest.noise import install_noise
-from repro.host.kvm import Hypervisor
-from repro.hw.cpu import Machine
-from repro.metrics.counters import ExitCounters
-from repro.sim.engine import Simulator
+from repro.experiments.assembly import assemble_host, packed_guests
+from repro.metrics.perf import RunMetrics
 from repro.sim.timebase import SEC
-
-
-@dataclass
-class OvercommitResult:
-    """Per-mode measurement of one overcommitted scenario."""
-
-    mode: TickMode
-    duration_ns: int
-    total_exits: int
-    total_busy_ns: int
-    host_switches: int
-
-    @property
-    def exits_per_second(self) -> float:
-        return self.total_exits / (self.duration_ns / SEC)
-
-    @property
-    def busy_fraction(self) -> float:
-        """Busy time as a fraction of one CPU-second per CPU."""
-        return self.total_busy_ns / self.duration_ns
+from repro.workloads.micro import IdleWorkload
 
 
 def run_idle_overcommit(
@@ -49,49 +26,53 @@ def run_idle_overcommit(
     pcpus: int = 2,
     duration_ns: int = SEC,
     noise: bool = False,
-    seed: int = 0,
+    tick_hz: int = 250,
+    cpuidle: bool = False,
+    keep_timer_on_idle_exit: bool = True,
     arch: str = "x86",
-) -> OvercommitResult:
+    label: Optional[str] = None,
+    **host,
+) -> RunMetrics:
     """N idle VMs time-sharing a small set of physical CPUs (W1/W2).
 
     With classic periodic ticks every vCPU is woken ``f_tick`` times a
-    second; with tickless/paratick guests the host stays asleep.
+    second; with tickless/paratick guests the host stays asleep. The
+    guests' vCPUs are dealt round-robin onto the ``pcpus``; the run
+    lasts ``duration_ns``. ``host`` passes through to
+    :func:`repro.experiments.assembly.assemble_host` (``seed``,
+    ``costs``, ``features``, ``perturbations``, ``tracer``, ``inspect``,
+    ``obs``).
     """
     if vms <= 0 or vcpus_per_vm <= 0 or pcpus <= 0:
         raise ConfigError("vms, vcpus_per_vm and pcpus must be positive")
-    sim = Simulator(seed=seed)
-    machine = Machine(sim, MachineSpec(sockets=1, cpus_per_socket=pcpus))
-    hv = Hypervisor(sim, machine, arch=arch)
-    for v in range(vms):
-        pins = tuple((v * vcpus_per_vm + i) % pcpus for i in range(vcpus_per_vm))
-        vm = hv.create_vm(
-            VmSpec(name=f"vm{v}", vcpus=vcpus_per_vm, tick_mode=mode, pinned_cpus=pins, noise=noise, arch=arch)
-        )
-        kernel = GuestKernel(vm)
-        if noise:
-            install_noise(kernel)
-    hv.start()
-    sim.run(until=duration_ns)
-    counters = ExitCounters()
-    for vm in hv.vms:
-        counters = counters.merge(vm.counters)
-    return OvercommitResult(
-        mode=mode,
-        duration_ns=duration_ns,
-        total_exits=counters.total,
-        total_busy_ns=machine.total_busy_ns() // max(pcpus, 1),
-        host_switches=hv.sched.switches,
+    guests = packed_guests(
+        [IdleWorkload(vcpus_per_vm) for _ in range(vms)], pcpus=pcpus, name="vm{}",
+        tick_mode=mode, tick_hz=tick_hz, noise=noise, cpuidle=cpuidle, arch=arch,
+        keep_timer_on_idle_exit=keep_timer_on_idle_exit,
     )
+    return assemble_host(
+        guests,
+        machine=MachineSpec(sockets=1, cpus_per_socket=pcpus),
+        arch=arch,
+        horizon_ns=duration_ns,
+        label=label or f"overcommit/{mode.value}",
+        **host,
+    ).metrics
 
 
 def compare_modes(
     *,
+    vms: int = 4,
+    vcpus_per_vm: int = 4,
+    pcpus: int = 2,
+    duration_ns: int = SEC,
+    noise: bool = False,
+    seed: int = 0,
     jobs: int | None = None,
     cache_dir=None,
     use_cache: bool = False,
     progress=None,
-    **kwargs,
-) -> dict[TickMode, OvercommitResult]:
+) -> dict[TickMode, RunMetrics]:
     """The W1/W2 comparison across all three tick modes.
 
     The three scenarios are independent, so they run as a grid through
@@ -100,12 +81,12 @@ def compare_modes(
     """
     from repro.experiments.parallel import OVERCOMMIT_IDLE, RunSpec, WorkloadSpec, run_grid
 
-    seed = kwargs.pop("seed", 0)
+    base = RunSpec(
+        WorkloadSpec.make(OVERCOMMIT_IDLE, vms=vms, vcpus_per_vm=vcpus_per_vm, pcpus=pcpus),
+        seed=seed, noise=noise, horizon_ns=duration_ns,
+    )
     specs = {
-        mode: RunSpec(
-            WorkloadSpec.make(OVERCOMMIT_IDLE, **kwargs),
-            tick_mode=mode, seed=seed, label=f"overcommit/{mode.value}",
-        )
+        mode: base.with_(tick_mode=mode, label=f"overcommit/{mode.value}")
         for mode in TickMode
     }
     grid = run_grid(

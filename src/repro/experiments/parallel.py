@@ -134,7 +134,8 @@ def _register_defaults() -> None:
 _register_defaults()
 
 #: Special kind executed by :func:`repro.experiments.overcommit.run_idle_overcommit`
-#: (a multi-VM scenario, not a single-VM Workload).
+#: (N idle guests time-sharing a few pCPUs); params ``vms``,
+#: ``vcpus_per_vm``, ``pcpus``, and the spec's horizon is the duration.
 OVERCOMMIT_IDLE = "overcommit.idle"
 
 #: Special kind executed by :func:`repro.fleet.hostsim.run_host` — one
@@ -179,8 +180,9 @@ class RunSpec:
     Mirrors :func:`repro.experiments.runner.run_workload`'s signature,
     but as pure data. ``cost_overrides`` are applied on top of
     :data:`~repro.host.costs.DEFAULT_COSTS`;
-    ``keep_timer_on_idle_exit`` drives the §5.2.5 class-level policy
-    knob (applied and restored around the run, worker-safe).
+    ``keep_timer_on_idle_exit`` is the §5.2.5 paratick heuristic, set on
+    every guest's :class:`~repro.config.VmSpec`. :func:`run_spec` applies
+    every field to every kind.
     """
 
     workload: WorkloadSpec
@@ -205,14 +207,14 @@ class RunSpec:
     #: Collect a virtual-perf profile (sampling profiler + latency
     #: histograms + steal) alongside the run. The profile is returned
     #: in :attr:`GridResult.artifacts` and cached content-addressed
-    #: next to the result (``<key>.obs.json``). Ignored for the
-    #: multi-VM ``overcommit.idle`` kind. Profiling never perturbs
-    #: simulated time, so the RunMetrics are identical either way.
+    #: next to the result (``<key>.obs.json``). Profiling never
+    #: perturbs simulated time, so the RunMetrics are identical either
+    #: way.
     profile: bool = False
     #: Collect the windowed in-sim time series (:mod:`repro.obs.series`)
     #: alongside the run; returned in :attr:`GridResult.series` and
-    #: cached as ``<key>.series.json``. Like ``profile``, ignored for
-    #: ``overcommit.idle`` and free of simulated-time side effects.
+    #: cached as ``<key>.series.json``. Like ``profile``, free of
+    #: simulated-time side effects.
     #: Serialized into the cache key only when set, so every
     #: pre-existing spec keeps its exact content address.
     series: bool = False
@@ -306,37 +308,63 @@ def spec_key(spec: RunSpec) -> str:
 # Execution of one spec
 # --------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _keep_timer(enabled: bool):
-    from repro.core.paratick_guest import ParatickPolicy
+def run_spec(spec: RunSpec, *, tracer=None, inspect=None, obs=None):
+    """Run one spec in-process and return its :class:`RunMetrics`.
 
-    prev = ParatickPolicy.keep_timer_on_idle_exit
-    ParatickPolicy.keep_timer_on_idle_exit = enabled
-    try:
-        yield
-    finally:
-        ParatickPolicy.keep_timer_on_idle_exit = prev
+    The one place a spec's fields become a run: the grid worker,
+    :func:`repro.scenarios.runcheck.check_cell` and the fuzz harness all
+    go through it, for every kind, so no path can drop a field.
+    ``tracer``/``inspect``/``obs`` are the hooks of
+    :func:`repro.experiments.assembly.assemble_host`.
 
-
-def execute_spec(spec: RunSpec):
-    """Run one spec in-process and return its result object.
-
-    Returns :class:`RunMetrics` for workload specs and
-    :class:`~repro.experiments.overcommit.OvercommitResult` for
-    ``overcommit.idle`` specs.
+    Raises:
+        GridError: if a multi-VM kind (``overcommit.idle``,
+            ``fleet.host``) sets a single-VM placement field; those kinds
+            place their own guests.
     """
+    from repro.experiments.runner import DEFAULT_HORIZON_NS, run_workload
+    from repro.host.costs import DEFAULT_COSTS
+
+    costs = DEFAULT_COSTS
+    if spec.cost_overrides:
+        costs = costs.with_overrides(**dict(spec.cost_overrides))
+    horizon = spec.horizon_ns if spec.horizon_ns is not None else DEFAULT_HORIZON_NS
+    common = dict(
+        seed=spec.seed, tick_hz=spec.tick_hz, noise=spec.noise, cpuidle=spec.cpuidle,
+        keep_timer_on_idle_exit=spec.keep_timer_on_idle_exit, costs=costs,
+        features=spec.features, perturbations=spec.perturbations, arch=spec.arch,
+        label=spec.label, tracer=tracer, inspect=inspect, obs=obs,
+    )
+    kind = spec.workload.kind
+    if kind in (OVERCOMMIT_IDLE, FLEET_HOST):
+        placed = [name for name in ("vcpus", "pinned_cpus", "machine", "device_kind")
+                  if getattr(spec, name) is not None]
+        if placed:
+            raise GridError(f"{kind} specs place their own guests; {placed} must be unset")
+    if kind == FLEET_HOST:
+        from repro.fleet.hostsim import execute_fleet_spec
+
+        return execute_fleet_spec(spec, horizon_ns=horizon, **common)
+    if kind == OVERCOMMIT_IDLE:
+        from repro.experiments.overcommit import run_idle_overcommit
+
+        return run_idle_overcommit(spec.tick_mode, duration_ns=horizon,
+                                   **spec.workload.kwargs(), **common)
+    return run_workload(
+        spec.workload.build(),
+        tick_mode=spec.tick_mode,
+        vcpus=spec.vcpus,
+        pinned_cpus=spec.pinned_cpus,
+        machine_spec=spec.machine,
+        device_kind=spec.device_kind,
+        horizon_ns=horizon,
+        **common,
+    )
+
+
+def execute_spec(spec: RunSpec) -> RunMetrics:
+    """Run one spec in-process and return its :class:`RunMetrics`."""
     return execute_spec_full(spec)[0]
-
-
-def execute_spec_obs(spec: RunSpec) -> tuple[Any, Optional[dict]]:
-    """Like :func:`execute_spec`, plus the profile artifact.
-
-    The second element is the :meth:`repro.obs.Observability.to_json_dict`
-    payload when ``spec.profile`` is set (and the kind supports it),
-    else None.
-    """
-    result, obs, _series = execute_spec_full(spec)
-    return result, obs
 
 
 def _obs_for(spec: RunSpec):
@@ -357,55 +385,17 @@ def _obs_for(spec: RunSpec):
     )
 
 
-def execute_spec_full(spec: RunSpec) -> tuple[Any, Optional[dict], Optional[dict]]:
-    """Run one spec, returning ``(result, obs_json, series_json)``.
+def execute_spec_full(spec: RunSpec) -> tuple[RunMetrics, Optional[dict], Optional[dict]]:
+    """Run one spec, returning ``(metrics, obs_json, series_json)``.
 
     The second element is the profile artifact (``spec.profile``), the
     third the windowed in-sim time series (``spec.series``); each is
-    None when not requested or the kind does not support it.
+    None when not requested.
     """
-    if spec.workload.kind == OVERCOMMIT_IDLE:
-        from repro.experiments.overcommit import run_idle_overcommit
-
-        result = run_idle_overcommit(
-            spec.tick_mode, seed=spec.seed, arch=spec.arch, **spec.workload.kwargs()
-        )
-        return result, None, None
-
-    if spec.workload.kind == FLEET_HOST:
-        from repro.fleet.hostsim import execute_fleet_spec
-
-        return execute_fleet_spec(spec)
-
-    from repro.experiments.runner import DEFAULT_HORIZON_NS, run_workload
-    from repro.host.costs import DEFAULT_COSTS
-
     obs = _obs_for(spec)
-    costs = DEFAULT_COSTS
-    if spec.cost_overrides:
-        costs = costs.with_overrides(**dict(spec.cost_overrides))
-    with _keep_timer(spec.keep_timer_on_idle_exit):
-        result = run_workload(
-            spec.workload.build(),
-            tick_mode=spec.tick_mode,
-            vcpus=spec.vcpus,
-            pinned_cpus=spec.pinned_cpus,
-            machine_spec=spec.machine,
-            features=spec.features,
-            costs=costs,
-            tick_hz=spec.tick_hz,
-            seed=spec.seed,
-            noise=spec.noise,
-            cpuidle=spec.cpuidle,
-            device_kind=spec.device_kind,
-            horizon_ns=spec.horizon_ns if spec.horizon_ns is not None else DEFAULT_HORIZON_NS,
-            label=spec.label,
-            perturbations=spec.perturbations,
-            arch=spec.arch,
-            obs=obs,
-        )
+    metrics = run_spec(spec, obs=obs)
     return (
-        result,
+        metrics,
         obs.to_json_dict() if spec.profile and obs is not None else None,
         obs.series_json() if spec.series and obs is not None else None,
     )
@@ -413,29 +403,16 @@ def execute_spec_full(spec: RunSpec) -> tuple[Any, Optional[dict], Optional[dict
 
 def encode_result(obj: Any) -> dict:
     """Encode a run result for the cache / the worker return channel."""
-    from repro.experiments.overcommit import OvercommitResult
-
     if isinstance(obj, RunMetrics):
         return {"type": "run_metrics", "data": obj.to_json_dict()}
-    if isinstance(obj, OvercommitResult):
-        data = asdict(obj)
-        data["mode"] = obj.mode.value
-        return {"type": "overcommit", "data": data}
     raise GridError(f"cannot encode result of type {type(obj).__name__}")
 
 
 def decode_result(encoded: dict) -> Any:
     """Inverse of :func:`encode_result`; raises on malformed input."""
-    from repro.experiments.overcommit import OvercommitResult
-
     kind = encoded["type"]
-    data = encoded["data"]
     if kind == "run_metrics":
-        return RunMetrics.from_json_dict(data)
-    if kind == "overcommit":
-        data = dict(data)
-        data["mode"] = TickMode(data["mode"])
-        return OvercommitResult(**data)
+        return RunMetrics.from_json_dict(encoded["data"])
     raise GridError(f"unknown cached result type {kind!r}")
 
 

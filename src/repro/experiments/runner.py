@@ -11,17 +11,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import HostFeatures, IoDeviceKind, MachineSpec, TickMode, VmSpec
-from repro.guest.kernel import GuestKernel
-from repro.guest.noise import install_noise
+from repro.experiments.assembly import GuestSpec, assemble_host
 from repro.host.costs import DEFAULT_COSTS, CostModel
-from repro.host.kvm import Hypervisor
-from repro.hw.block import make_block_device
-from repro.hw.cpu import Machine
-from repro.metrics.perf import RunMetrics, collect_metrics
+from repro.metrics.perf import RunMetrics
 from repro.metrics.report import Comparison, compare_runs
-from repro.sim.engine import Simulator
 from repro.sim.timebase import SEC
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import Workload
 
 #: Default wall-clock bound on a run (simulated).
 DEFAULT_HORIZON_NS = 60 * SEC
@@ -40,6 +35,7 @@ def run_workload(
     seed: int = 0,
     noise: bool = True,
     cpuidle: bool = False,
+    keep_timer_on_idle_exit: bool = True,
     device_kind: Optional[IoDeviceKind] = None,
     horizon_ns: int = DEFAULT_HORIZON_NS,
     label: Optional[str] = None,
@@ -51,146 +47,38 @@ def run_workload(
 ) -> RunMetrics:
     """Run one workload in one VM and return its metrics.
 
-    The run ends when every main task finishes (execution time = that
-    instant) or at ``horizon_ns`` for open-ended workloads; a workload
-    with main tasks that misses the horizon raises
-    :class:`~repro.errors.WorkloadError` rather than reporting a
-    truncated measurement.
-
-    ``inspect``, when given, is called as ``inspect(sim, machine, hv,
-    vm)`` after the run ends but before metrics collection — the
-    sanitizer's reconciliation pass uses it to reach simulator internals
-    (per-CPU ledgers) that :class:`RunMetrics` aggregates away.
-
-    ``obs``, when given, is a :class:`repro.obs.Observability` bundle:
-    its trace sinks are teed in front of ``tracer``, its sampling
-    profiler observes the cycle ledger, and it is finalized before
-    metrics collection. Observability never schedules simulator events,
-    so metrics are bit-identical with ``obs`` on or off.
-
-    ``perturbations``, when non-empty, is a schedule of
-    :class:`repro.host.perturb.Perturbation` events (suspend/resume,
-    save/restore, vCPU hotplug, clock drift) installed against the VM
-    before boot; the run's metrics then carry the perturbation counters
-    in :attr:`RunMetrics.extra`.
+    The one-guest case of :func:`repro.experiments.assembly.assemble_host`,
+    which documents the run's end, ``perturbations``, ``inspect`` (called
+    as ``inspect(sim, machine, hv, vms)``) and ``obs``. The VM's vCPUs
+    are pinned 1:1 to pCPUs ``0..vcpus-1`` unless ``pinned_cpus`` says
+    otherwise.
     """
     nvcpus = vcpus if vcpus is not None else workload.default_vcpus()
-    mspec = machine_spec or MachineSpec()
-    if pinned_cpus is None:
-        pinned_cpus = tuple(range(nvcpus))
-    if obs is not None:
-        tracer = obs.tracer(tracer)
-    sim = Simulator(seed=seed, tracer=tracer)
-    machine = Machine(sim, mspec)
-    hv = Hypervisor(sim, machine, costs=costs, features=features, arch=arch)
-    if obs is not None:
-        obs.install(machine, hv)
-    vm = hv.create_vm(
-        VmSpec(
-            name="vm0",
-            vcpus=nvcpus,
-            tick_mode=tick_mode,
-            tick_hz=tick_hz,
-            pinned_cpus=pinned_cpus,
-            noise=noise,
-            cpuidle=cpuidle,
-            arch=arch,
-        )
+    vm = VmSpec(
+        name="vm0",
+        vcpus=nvcpus,
+        tick_mode=tick_mode,
+        tick_hz=tick_hz,
+        pinned_cpus=pinned_cpus if pinned_cpus is not None else tuple(range(nvcpus)),
+        noise=noise,
+        cpuidle=cpuidle,
+        arch=arch,
+        keep_timer_on_idle_exit=keep_timer_on_idle_exit,
     )
-    kernel = GuestKernel(vm)
-
-    kind = device_kind or workload.io_device
-    if kind is not None:
-        device = make_block_device(
-            sim,
-            kind,
-            lambda req: hv.complete_io_request(vm, req.cookie[0], req),
-        )
-        kernel.attach_block_device(device)
-
-    nic_profile = getattr(workload, "nic_profile", None)
-    if nic_profile is not None:
-        from repro.hw.interrupts import Vector
-        from repro.hw.nic import Nic
-
-        nic = Nic(
-            sim,
-            nic_profile,
-            lambda req: hv.complete_io_request(vm, req.cookie[0], req, vector=Vector.NET_IO),
-        )
-        kernel.attach_nic(nic)
-
-    if noise:
-        install_noise(kernel)
-
-    main_tasks = workload.build(kernel)
-    result = WorkloadResult(main_tasks=list(main_tasks))
-    main_set = set(id(t) for t in main_tasks)
-
-    def on_done(task) -> None:
-        if id(task) in main_set:
-            result.finished += 1
-            if result.finished == len(result.main_tasks):
-                result.completed_at_ns = sim.now
-                sim.stop()
-
-    kernel.task_done_callbacks.append(on_done)
-
-    if perturbations:
-        from repro.host.perturb import install_perturbations
-
-        install_perturbations(hv, vm, perturbations)
-
-    hv.start()
-    sim.run(until=horizon_ns)
-
-    if result.main_tasks:
-        result.check_complete()
-        exec_time = result.completed_at_ns
-    else:
-        exec_time = sim.now  # open-ended workload: ran to the horizon
-
-    if obs is not None:
-        obs.finalize(sim, machine, hv)
-
-    if inspect is not None:
-        inspect(sim, machine, hv, vm)
-
-    extra = {
-        "vcpus": nvcpus,
-        "seed": seed,
-        "virtual_ticks": vm.virtual_ticks_injected,
-        "halt_episodes": sum(v.halt_episodes for v in vm.vcpus),
-        "halted_ns": sum(v.total_halted_ns for v in vm.vcpus),
-        "steal_ns": sum(v.total_steal_ns for v in vm.vcpus),
-        "steal_episodes": sum(v.steal_episodes for v in vm.vcpus),
-    }
-    if perturbations:
-        # Only perturbed runs carry these keys, so unperturbed metrics
-        # stay bit-identical to the pre-perturbation engine.
-        extra["suspend_count"] = vm.suspend_count
-        extra["suspended_ns"] = vm.total_suspended_ns
-        extra["clock_jump_ns"] = vm.clock_jump_ns
-        extra["clock_offset_ns"] = vm.guest_clock_offset_ns
-        extra["hotplug_count"] = vm.hotplug_count
-        extra["unplug_count"] = vm.unplug_count
-    from repro.host.vcpu import VcpuState
-
-    for v in vm.vcpus:
-        residency = dict(v.cstate_residency_ns)
-        if v.state is VcpuState.HALTED and v.requested_cstate is not None:
-            # Still asleep at collection time: flush the open residency.
-            name = v.requested_cstate.name
-            residency[name] = residency.get(name, 0) + (sim.now - v.halted_since_ns)
-        for state, ns in residency.items():
-            extra[f"cstate_{state}_ns"] = extra.get(f"cstate_{state}_ns", 0) + ns
-    return collect_metrics(
-        label or f"{workload.name}/{tick_mode.value}",
-        machine,
-        [vm],
-        exec_time_ns=exec_time,
-        extra=extra,
-    )
+    return assemble_host(
+        [GuestSpec(vm, workload, device_kind=device_kind)],
+        machine=machine_spec or MachineSpec(),
+        seed=seed,
+        costs=costs,
+        features=features,
+        arch=arch,
+        horizon_ns=horizon_ns,
+        perturbations=perturbations,
+        tracer=tracer,
+        inspect=inspect,
+        obs=obs,
+        label=label or f"{workload.name}/{tick_mode.value}",
+    ).metrics
 
 
 def run_comparison(

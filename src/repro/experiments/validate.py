@@ -69,28 +69,21 @@ def check_paratick_wins_sync() -> str:
 
 def check_sanitizer() -> str:
     """All three tick modes run sanitizer-clean on a blocking workload,
-    and the trace reconciles against counters and the cycle ledger."""
-    from repro.analysis.checkers import TickSanitizer
-    from repro.analysis.reconcile import reconcile_run
+    and the trace reconciles against counters, the cycle ledger and steal."""
+    from repro.analysis.reconcile import sanitized_run
     from repro.config import MachineSpec
 
     mspec = MachineSpec(sockets=1, cpus_per_socket=4)
     events = 0
     for mode in TickMode:
-        sanitizer = TickSanitizer(mode=mode)
-        internals: dict = {}
-
-        def inspect(sim, machine, hv, vm) -> None:
-            internals["machine"], internals["now"] = machine, sim.now
-
-        m = run_workload(
-            PingPongWorkload(rounds=150), tick_mode=mode, seed=7,
-            machine_spec=mspec, pinned_cpus=(0, 1),
-            tracer=sanitizer, inspect=inspect,
+        _, sanitizer, bad = sanitized_run(
+            lambda tracer, inspect: run_workload(
+                PingPongWorkload(rounds=150), tick_mode=mode, seed=7,
+                machine_spec=mspec, pinned_cpus=(0, 1),
+                tracer=tracer, inspect=inspect,
+            ),
+            mode,
         )
-        bad = [str(v) for v in sanitizer.finish()]
-        bad += reconcile_run(sanitizer, m, freq_hz=mspec.freq_hz,
-                             machine=internals["machine"], now_ns=internals["now"])
         assert not bad, f"{mode.value}: {bad[:3]}"
         assert sanitizer.events > 0, f"{mode.value}: no trace events seen"
         events += sanitizer.events

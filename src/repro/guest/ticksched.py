@@ -237,5 +237,7 @@ def make_policy(kernel: "GuestKernel") -> TickPolicy:
     if mode is TickMode.TICKLESS:
         return NohzPolicy(kernel)
     if mode is TickMode.PARATICK:
-        return ParatickPolicy(kernel)
+        return ParatickPolicy(
+            kernel, keep_timer_on_idle_exit=kernel.vm.spec.keep_timer_on_idle_exit
+        )
     raise GuestError(f"unknown tick mode {mode}")

@@ -87,7 +87,8 @@ class ObsConfig:
 class Observability:
     """One run's worth of virtual-perf collectors, wired as a unit.
 
-    Usage (what ``run_workload(obs=...)`` does internally)::
+    Usage (what :func:`repro.experiments.assembly.assemble_host` does
+    with ``obs=...``)::
 
         obs = Observability(ObsConfig(trace_export=True))
         sim = Simulator(tracer=obs.tracer())

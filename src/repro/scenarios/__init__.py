@@ -6,7 +6,7 @@ See :mod:`repro.scenarios.matrix` for the file format,
 grid execution. CLI: ``python -m repro matrix {expand,check,run} FILE``.
 """
 
-from repro.scenarios.fuzzbridge import fuzz_cells, fuzz_matrix_cells, workload_spec_for
+from repro.scenarios.fuzzbridge import fuzz_cells, fuzz_matrix_cells
 from repro.scenarios.matrix import AXES, Cell, Matrix, load_matrix, parse_matrix
 from repro.scenarios.runcheck import (
     CellCheck,
@@ -31,5 +31,4 @@ __all__ = [
     "parse_matrix",
     "run_cells",
     "run_cells_resumable",
-    "workload_spec_for",
 ]

@@ -17,41 +17,11 @@ from repro.analysis.fuzz import (
     SOLO,
     FuzzScenario,
     perturbations_for_seed,
-    placement_for,
     scenario_for_seed,
+    scenario_spec,
 )
 from repro.config import TickMode
-from repro.experiments.parallel import RunSpec, WorkloadSpec
 from repro.scenarios.matrix import Cell
-
-#: Fuzz scenario kind -> registered workload-factory kind, with the
-#: parameter spellings :meth:`FuzzScenario.make_workload` applies.
-_KIND_MAP = {
-    "pingpong": "micro.pingpong",
-    "syncstorm": "micro.syncstorm",
-    "idleperiod": "micro.idleperiod",
-    "idle": "micro.idle",
-}
-
-
-def workload_spec_for(scenario: FuzzScenario) -> WorkloadSpec:
-    """The scenario's workload as a grid-compatible :class:`WorkloadSpec`."""
-    p = dict(scenario.params)
-    if scenario.kind == "pingpong":
-        params = {"rounds": p["rounds"], "work_cycles": p["work_cycles"],
-                  "same_vcpu": bool(p["same_vcpu"])}
-    elif scenario.kind == "syncstorm":
-        params = {"threads": p["threads"],
-                  "events_per_second": float(p["events_hz"]),
-                  "duration_cycles": p["duration_cycles"]}
-    elif scenario.kind == "idleperiod":
-        params = {"idle_ns": p["idle_ns"], "iterations": p["iterations"],
-                  "work_cycles": p["work_cycles"]}
-    elif scenario.kind == "idle":
-        params = {"vcpus": p["vcpus"]}
-    else:
-        raise ValueError(f"unknown scenario kind {scenario.kind!r}")
-    return WorkloadSpec.make(_KIND_MAP[scenario.kind], **params)
 
 
 def fuzz_cells(
@@ -71,31 +41,16 @@ def fuzz_cells(
     perturbations = (
         perturbations_for_seed(seed, scenario.horizon_ns) if perturb else ()
     )
-    ws = workload_spec_for(scenario)
-    nvcpus = scenario.make_workload().default_vcpus()
     cells: list[Cell] = []
     for placement in placements:
-        mspec, pinned = placement_for(nvcpus, placement)
         for mode in TickMode:
             cid = f"fuzz{seed}/{scenario.kind}/{mode.value}/{placement}"
             perturb_coord = "none"
             if perturb:
                 cid += "/perturbed"
                 perturb_coord = "fuzzed"
-            spec = RunSpec(
-                workload=ws,
-                tick_mode=mode,
-                seed=seed,
-                vcpus=nvcpus,
-                machine=mspec,
-                pinned_cpus=pinned,
-                tick_hz=scenario.tick_hz,
-                noise=scenario.noise,
-                cpuidle=scenario.cpuidle,
-                horizon_ns=scenario.horizon_ns,
-                perturbations=perturbations,
-                label=cid,
-            )
+            spec = scenario_spec(scenario, mode, placement=placement,
+                                 perturbations=perturbations, label=cid)
             cells.append(Cell(
                 id=cid,
                 coords=(

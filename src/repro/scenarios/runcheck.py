@@ -21,11 +21,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-from repro.analysis.checkers import TickSanitizer
-from repro.analysis.reconcile import reconcile_run
-from repro.config import MachineSpec
-from repro.errors import ReproError
-from repro.experiments.parallel import GridResult, RunSpec, _keep_timer, run_grid
+from repro.analysis.reconcile import sanitized_run
+from repro.experiments.parallel import GridResult, run_grid, run_spec
 from repro.metrics.perf import RunMetrics
 from repro.scenarios.matrix import Cell
 
@@ -47,86 +44,16 @@ class CellCheck:
 def check_cell(cell: Cell) -> CellCheck:
     """Execute one cell serially under the sanitizer + reconcile battery.
 
-    Mirrors :func:`repro.experiments.parallel.execute_spec` (costs,
-    keep-timer policy, horizon default) but wraps the run in the tracer
-    stack the fuzz harness uses, so matrix cells and fuzz scenarios are
-    checked to exactly the same standard.
+    The run is :func:`repro.experiments.parallel.run_spec` (the grid's
+    own spec mapping, labelled with the cell id when the spec has no
+    label) inside :func:`repro.analysis.reconcile.sanitized_run`, so
+    matrix cells and fuzz scenarios are checked to exactly the same
+    standard.
     """
-    from repro.experiments.parallel import FLEET_HOST
-    from repro.experiments.runner import DEFAULT_HORIZON_NS, run_workload
-    from repro.host.costs import DEFAULT_COSTS
-    from repro.obs.steal import StealTracker
-    from repro.sim.trace import TeeTracer
-
-    spec = cell.spec
-    sanitizer = TickSanitizer(mode=spec.tick_mode)
-    steal = StealTracker()
-    internals: dict = {}
-
-    def inspect(sim, machine, hv, vm) -> None:
-        internals["machine"] = machine
-        internals["now"] = sim.now
-        internals["hv"] = hv
-
-    costs = DEFAULT_COSTS
-    if spec.cost_overrides:
-        costs = costs.with_overrides(**dict(spec.cost_overrides))
-    try:
-        with _keep_timer(spec.keep_timer_on_idle_exit):
-            if spec.workload.kind == FLEET_HOST:
-                # A fleet host shard: the same tracer stack and the same
-                # battery, over the multi-VM host simulation.
-                from repro.fleet.hostsim import run_host
-                from repro.fleet.spec import fleet_params
-
-                metrics = run_host(
-                    tick_mode=spec.tick_mode,
-                    seed=spec.seed,
-                    tick_hz=spec.tick_hz,
-                    noise=spec.noise,
-                    cpuidle=spec.cpuidle,
-                    costs=costs,
-                    features=spec.features,
-                    horizon_ns=spec.horizon_ns,
-                    label=spec.label or cell.id,
-                    perturbations=spec.perturbations,
-                    tracer=TeeTracer(sanitizer, steal),
-                    inspect=inspect,
-                    **fleet_params(spec),
-                )
-            else:
-                metrics = run_workload(
-                    spec.workload.build(),
-                    tick_mode=spec.tick_mode,
-                    vcpus=spec.vcpus,
-                    pinned_cpus=spec.pinned_cpus,
-                    machine_spec=spec.machine,
-                    features=spec.features,
-                    costs=costs,
-                    tick_hz=spec.tick_hz,
-                    seed=spec.seed,
-                    noise=spec.noise,
-                    cpuidle=spec.cpuidle,
-                    device_kind=spec.device_kind,
-                    horizon_ns=spec.horizon_ns if spec.horizon_ns is not None else DEFAULT_HORIZON_NS,
-                    label=spec.label or cell.id,
-                    perturbations=spec.perturbations,
-                    tracer=TeeTracer(sanitizer, steal),
-                    inspect=inspect,
-                )
-    except ReproError as exc:
-        sanitizer.finish()
-        return CellCheck(cell, None, [f"run failed: {type(exc).__name__}: {exc}"],
-                         events=sanitizer.events)
-    problems = [str(v) for v in sanitizer.finish()]
-    machine_spec = spec.machine if spec.machine is not None else MachineSpec()
-    problems += reconcile_run(
-        sanitizer, metrics,
-        freq_hz=machine_spec.freq_hz,
-        machine=internals.get("machine"),
-        now_ns=internals.get("now"),
-        steal_tracker=steal,
-        hv=internals.get("hv"),
+    spec = cell.spec if cell.spec.label else cell.spec.with_(label=cell.id)
+    metrics, sanitizer, problems = sanitized_run(
+        lambda tracer, inspect: run_spec(spec, tracer=tracer, inspect=inspect),
+        spec.tick_mode,
     )
     return CellCheck(cell, metrics, problems, events=sanitizer.events)
 

@@ -6,12 +6,19 @@ import csv
 
 import pytest
 
-from repro.config import TickMode
+from repro.config import MachineSpec, TickMode
 from repro.errors import ConfigError
 from repro.experiments.export import comparisons_to_csv, export_fig6, write_csv
 from repro.experiments.overcommit import compare_modes, run_idle_overcommit
+from repro.experiments.parallel import (
+    OVERCOMMIT_IDLE,
+    GridError,
+    RunSpec,
+    WorkloadSpec,
+    execute_spec,
+)
 from repro.metrics.report import Comparison
-from repro.sim.timebase import SEC
+from repro.sim.timebase import SEC, CpuClock
 
 
 class TestCsvExport:
@@ -55,6 +62,33 @@ class TestCsvExport:
         assert set(labels[:4]) == {"seqr", "seqwr", "rndr", "rndwr"}
 
 
+def busy_fraction(m, pcpus: int) -> float:
+    """Busy time as a fraction of the run's CPU time, per pCPU."""
+    return m.total_cycles / CpuClock(MachineSpec().freq_hz).ns_to_cycles(m.exec_time_ns * pcpus)
+
+
+def run_counting_switches(mode: TickMode, **kwargs):
+    """The run's metrics and its host scheduler's context-switch count."""
+    seen = {}
+    m = run_idle_overcommit(
+        mode, inspect=lambda sim, machine, hv, vms: seen.update(n=hv.sched.switches), **kwargs
+    )
+    return m, seen["n"]
+
+
+#: W2 at vms=2, vcpus_per_vm=4, pcpus=2 for SEC // 2, as measured before
+#: the overcommit scenario moved onto the shared host assembly:
+#: (total exits, busy ns over all pCPUs, host switches, (reason, tag) -> exits).
+PINNED_W2 = {
+    TickMode.PERIODIC: (1008, 42_020_558, 1000, {("hlt", "idle"): 1000,
+                                                 ("msr_write", "timer_program"): 8}),
+    TickMode.TICKLESS: (24, 7_076_604, 8, {("hlt", "idle"): 8,
+                                           ("msr_write", "timer_program"): 16}),
+    TickMode.PARATICK: (10, 6_696_300, 8, {("hlt", "idle"): 8,
+                                           ("hypercall", "hypercall"): 2}),
+}
+
+
 class TestOvercommit:
     def test_periodic_idle_overcommit_is_expensive(self):
         """W2 regime: periodic ticks cost exits and busy time even for
@@ -64,10 +98,39 @@ class TestOvercommit:
         tickless = out[TickMode.TICKLESS]
         paratick = out[TickMode.PARATICK]
         # 8 idle vCPUs at 250 Hz -> thousands of exits/s under periodic.
-        assert periodic.exits_per_second > 1_500
-        assert tickless.exits_per_second < 200
-        assert paratick.exits_per_second <= tickless.exits_per_second + 10
-        assert periodic.busy_fraction > 5 * tickless.busy_fraction
+        assert periodic.exits_per_second() > 1_500
+        assert tickless.exits_per_second() < 200
+        assert paratick.exits_per_second() <= tickless.exits_per_second() + 10
+        assert busy_fraction(periodic, 2) > 5 * busy_fraction(tickless, 2)
+
+    @pytest.mark.parametrize("mode", list(TickMode), ids=lambda m: m.value)
+    def test_same_simulation_as_before_the_shared_assembly(self, mode):
+        exits, busy_ns, switches, breakdown = PINNED_W2[mode]
+        m, seen_switches = run_counting_switches(
+            mode, vms=2, vcpus_per_vm=4, pcpus=2, duration_ns=SEC // 2
+        )
+        assert m.total_exits == exits
+        assert sum(m.ledger.values()) == busy_ns
+        assert {(k.reason.value, k.tag.value): n
+                for k, n in m.exits.breakdown().items()} == breakdown
+        assert m.exec_time_ns == SEC // 2
+        assert seen_switches == switches
+
+    def test_spec_tick_rate_is_honoured(self):
+        """The overcommit kind applies every spec field: 4x the tick rate
+        means about 4x the periodic exits."""
+        spec = RunSpec(
+            WorkloadSpec.make(OVERCOMMIT_IDLE, vms=2, vcpus_per_vm=4, pcpus=2),
+            tick_mode=TickMode.PERIODIC, noise=False, horizon_ns=SEC // 2,
+        )
+        slow = execute_spec(spec).total_exits
+        fast = execute_spec(spec.with_(tick_hz=1000)).total_exits
+        assert fast == pytest.approx(4 * slow, rel=0.1)
+
+    def test_single_vm_placement_fields_are_refused(self):
+        spec = RunSpec(WorkloadSpec.make(OVERCOMMIT_IDLE, vms=2), vcpus=4)
+        with pytest.raises(GridError, match="vcpus"):
+            execute_spec(spec)
 
     def test_scaling_with_vm_count(self):
         """W1 -> W2: four times the VMs, about four times the exits."""
@@ -76,8 +139,10 @@ class TestOvercommit:
         assert four.total_exits == pytest.approx(4 * one.total_exits, rel=0.15)
 
     def test_time_sharing_actually_happens(self):
-        out = run_idle_overcommit(TickMode.PERIODIC, vms=2, vcpus_per_vm=2, pcpus=1, duration_ns=SEC // 2)
-        assert out.host_switches > 100
+        _, switches = run_counting_switches(
+            TickMode.PERIODIC, vms=2, vcpus_per_vm=2, pcpus=1, duration_ns=SEC // 2
+        )
+        assert switches > 100
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -17,30 +17,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import fuzz
 from repro.analysis.fuzz import (
+    WORKLOAD_KINDS,
     FuzzScenario,
     perturbations_for_seed,
     placement_for,
     scenario_for_seed,
 )
 from repro.experiments.parallel import WORKLOAD_FACTORIES, spec_key
-from repro.scenarios.fuzzbridge import (
-    _KIND_MAP,
-    fuzz_cells,
-    fuzz_matrix_cells,
-    workload_spec_for,
-)
+from repro.scenarios.fuzzbridge import fuzz_cells, fuzz_matrix_cells
 
 
 class TestKindMapping:
-    @pytest.mark.parametrize("kind", sorted(_KIND_MAP))
+    @pytest.mark.parametrize("kind", sorted(WORKLOAD_KINDS))
     def test_every_fuzz_kind_maps_to_a_registered_factory(self, kind):
         # Find (by exhaustion) a seed expanding to this kind: the seed
         # space is uniform over 4 kinds, so a handful suffices.
         scenario = next(
             s for s in map(scenario_for_seed, range(64)) if s.kind == kind
         )
-        ws = workload_spec_for(scenario)
-        assert ws.kind == _KIND_MAP[kind]
+        ws = scenario.workload_spec()
+        assert ws.kind == WORKLOAD_KINDS[kind]
         # The registry accepts the spelled params and builds the same
         # workload class the fuzz harness instantiates directly.
         via_registry = WORKLOAD_FACTORIES[ws.kind](**ws.kwargs())
@@ -54,7 +50,7 @@ class TestKindMapping:
             noise=False, cpuidle=False, horizon_ns=1,
         )
         with pytest.raises(ValueError, match="forkbomb"):
-            workload_spec_for(bogus)
+            bogus.workload_spec()
         with pytest.raises(ValueError, match="forkbomb"):
             bogus.make_workload()
 

@@ -111,3 +111,32 @@ class TestFuzzBridge:
         cells = [c for c in fuzz_cells(7, perturb=True, placements=(fuzz.SOLO,))]
         for check in check_cells(cells):
             assert check.ok, f"{check.cell.id}: {check.problems}"
+
+
+class TestFleetCells:
+    def test_fleet_cell_keeps_its_arch(self):
+        """check_cell runs a fleet shard through the same spec mapping as
+        the grid: an ARM shard stays ARM (no x86 MSR-write exits)."""
+        from repro.config import TickMode
+        from repro.experiments.parallel import WorkloadSpec, execute_spec
+        from repro.fleet.spec import host_run_spec
+        from repro.host.exitreasons import ExitReason
+        from repro.scenarios.matrix import Cell
+        from repro.sim.timebase import MSEC
+
+        spec = host_run_spec(
+            guest_workload=WorkloadSpec.make(
+                "micro.pingpong", rounds=5, work_cycles=10_000, same_vcpu=False
+            ),
+            guests=2,
+            consolidation=2,
+            tick_mode=TickMode.TICKLESS,
+            horizon_ns=400 * MSEC,
+            arch="arm",
+            label="fleet-arm",
+        )
+        check = check_cells([Cell("fleet-arm", (), spec)])[0]
+        assert check.ok, check.problems
+        assert check.metrics == execute_spec(spec)
+        assert check.metrics.exits.by_reason(ExitReason.MSR_WRITE) == 0
+        assert check.metrics.exits.by_reason(ExitReason.SYSREG_TRAP) > 0
