@@ -168,16 +168,40 @@ def bench_hrtimer_queue_churn() -> dict:
     return _time_best(run, ops=ops, expect=ops)
 
 
+def _syncstorm(**kwargs):
+    """The end-to-end sync-heavy tickless run the syncstorm benches share."""
+    from repro.config import TickMode
+    from repro.experiments.runner import run_workload
+    from repro.workloads.micro import SyncStormWorkload
+
+    return run_workload(
+        SyncStormWorkload(threads=4, events_per_second=4000.0,
+                          duration_cycles=60_000_000),
+        tick_mode=TickMode.TICKLESS,
+        seed=9,
+        **kwargs,
+    )
+
+
+def _ungated(out: dict, ops: int, unit: str) -> dict:
+    """Per-second rate of a deterministic count; recorded, never gated.
+
+    End-to-end wall clock swings far more than the microbenches on a
+    shared runner; record the trajectory but do not gate on it.
+    """
+    out["ops"] = ops
+    out["ops_per_sec"] = round(ops / out["wall_s"], 1)
+    out[unit] = ops
+    out["gate"] = False
+    return out
+
+
 def bench_syncstorm_smoke() -> dict:
     """End-to-end experiment loop: sync-heavy workload, tickless mode.
 
     ops/sec here is *dispatched engine events* per wall-clock second —
     the figure the experiment sweeps are bottlenecked on.
     """
-    from repro.config import TickMode
-    from repro.experiments.runner import run_workload
-    from repro.workloads.micro import SyncStormWorkload
-
     dispatched = 0
 
     def grab(sim, machine, hv, vm) -> None:
@@ -185,23 +209,51 @@ def bench_syncstorm_smoke() -> dict:
         dispatched = sim.dispatched
 
     def run() -> int:
-        metrics = run_workload(
-            SyncStormWorkload(threads=4, events_per_second=4000.0,
-                              duration_cycles=60_000_000),
-            tick_mode=TickMode.TICKLESS,
-            seed=9,
-            inspect=grab,
-        )
-        return metrics.total_exits
+        return _syncstorm(inspect=grab).total_exits
 
     out = _time_best(run, ops=None, repeats=3)
-    out["ops"] = dispatched
-    out["ops_per_sec"] = round(dispatched / out["wall_s"], 1)
-    out["dispatched"] = dispatched
-    # End-to-end wall clock swings far more than the microbenches on a
-    # shared runner; record the trajectory but do not gate on it.
-    out["gate"] = False
-    return out
+    return _ungated(out, dispatched, "dispatched")
+
+
+def bench_sanitized_syncstorm() -> dict:
+    """syncstorm_smoke under the full TickSanitizer battery: the cost of
+    attached invariant checking. ops/sec is trace records checked per
+    second; compare wall_s against syncstorm_smoke for the overhead."""
+    from repro.analysis.checkers import TickSanitizer
+    from repro.config import TickMode
+
+    records = 0
+
+    def run() -> int:
+        nonlocal records
+        sanitizer = TickSanitizer(mode=TickMode.TICKLESS)
+        _syncstorm(tracer=sanitizer)
+        if sanitizer.finish():
+            raise AssertionError(f"sanitizer violations: {sanitizer.violations[:3]}")
+        records = sanitizer.events
+        return records
+
+    out = _time_best(run, ops=None, repeats=3)
+    return _ungated(out, records, "records")
+
+
+def bench_ring_tracer_syncstorm() -> dict:
+    """syncstorm_smoke with a RingTracer retaining every record: the
+    cost of attached plain tracing. ops/sec is records offered per
+    second."""
+    from repro.sim.trace import RingTracer
+
+    records = 0
+
+    def run() -> int:
+        nonlocal records
+        ring = RingTracer()
+        _syncstorm(tracer=ring)
+        records = ring.offered
+        return records
+
+    out = _time_best(run, ops=None, repeats=3)
+    return _ungated(out, records, "records")
 
 
 def bench_fleet_host_smoke() -> dict:
@@ -240,11 +292,7 @@ def bench_fleet_host_smoke() -> dict:
         return metrics.exits.total
 
     out = _time_best(run, ops=None, repeats=3)
-    out["ops"] = dispatched
-    out["ops_per_sec"] = round(dispatched / out["wall_s"], 1)
-    out["dispatched"] = dispatched
-    out["gate"] = False
-    return out
+    return _ungated(out, dispatched, "dispatched")
 
 
 BENCHES: dict[str, Callable[[], dict]] = {
@@ -255,6 +303,8 @@ BENCHES: dict[str, Callable[[], dict]] = {
     "timer_wheel_idle_query": bench_timer_wheel_idle_query,
     "hrtimer_queue_churn": bench_hrtimer_queue_churn,
     "syncstorm_smoke": bench_syncstorm_smoke,
+    "sanitized_syncstorm": bench_sanitized_syncstorm,
+    "ring_tracer_syncstorm": bench_ring_tracer_syncstorm,
     "fleet_host_smoke": bench_fleet_host_smoke,
 }
 

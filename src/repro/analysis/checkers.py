@@ -2,9 +2,10 @@
 
 Each :class:`Checker` consumes the structured trace online (no record
 retention) and accumulates :class:`Violation`\\ s; :class:`TickSanitizer`
-is the :class:`~repro.sim.trace.Tracer` that fans every record out to a
-checker battery, so *any* run — test, benchmark, fuzz sweep — becomes a
-self-checking artifact simply by passing ``tracer=TickSanitizer(...)``.
+is the :class:`~repro.sim.trace.Tracer` that validates every record once
+and routes it to the checkers whose ``kinds`` consume it, so *any* run —
+test, benchmark, fuzz sweep — becomes a self-checking artifact simply by
+passing ``tracer=TickSanitizer(...)``.
 
 The battery encodes the legality rules behind the paper's Fig. 1/Fig. 3
 state machines and KVM's preemption-timer optimization (§3):
@@ -22,12 +23,12 @@ state machines and KVM's preemption-timer optimization (§3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.analysis import events as ev
 from repro.config import TickMode
 from repro.hw.interrupts import Vector
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import TraceRecord, Tracer, consumes
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,15 @@ class Violation:
 
 
 class Checker:
-    """Base streaming checker. Subclasses implement :meth:`on_event`."""
+    """Base streaming checker. Subclasses implement :meth:`on_event`.
+
+    ``kinds`` declares the record kinds the checker consumes; the
+    sanitizer hands it no others. ``None`` (the default) means every
+    kind, registered or not.
+    """
 
     name = "abstract"
+    kinds: Optional[frozenset[str]] = None
 
     def __init__(self) -> None:
         self.violations: list[Violation] = []
@@ -56,7 +63,10 @@ class Checker:
     def report(self, record: TraceRecord, message: str) -> None:
         self.violations.append(Violation(record.time, self.name, record.source, message))
 
-    def on_event(self, record: TraceRecord) -> None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
+        """Consume one record. ``error`` is its schema violation
+        (:func:`repro.analysis.events.validate_record`), None when well-formed;
+        the sanitizer computes it once per record for every checker."""
         raise NotImplementedError
 
     def finish(self) -> None:
@@ -68,11 +78,10 @@ class SchemaChecker(Checker):
 
     name = "schema"
 
-    def on_event(self, record: TraceRecord) -> None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
         self.seen += 1
-        err = ev.validate_record(record)
-        if err is not None:
-            self.report(record, err)
+        if error is not None:
+            self.report(record, error)
 
 
 #: Legal _VcpuExec transitions (besides ``any -> off``, shutdown).
@@ -101,19 +110,20 @@ class VcpuStateChecker(Checker):
     """The vCPU run-state machine only takes legal steps."""
 
     name = "vcpu-state"
+    kinds = frozenset({"vcpu_state", "vcpu_hotplug"})
 
     def __init__(self) -> None:
         super().__init__()
         self._state: dict[str, str] = {}
 
-    def on_event(self, record: TraceRecord) -> None:
-        if record.kind == "vcpu_hotplug" and ev.validate_record(record) is None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
+        if error is not None:
+            return
+        if record.kind == "vcpu_hotplug":
             # A hotplug (or re-plug of a previously unplugged index)
             # installs a fresh vCPU object: forget any tracked state so
             # its init -> exited boot is not read as "after shutdown".
             self._state.pop(f"{record.source}/vcpu{record.detail}", None)
-            return
-        if record.kind != "vcpu_state" or ev.validate_record(record) is not None:
             return
         self.seen += 1
         old, new = record.detail
@@ -137,18 +147,19 @@ class PreemptionTimerChecker(Checker):
     """
 
     name = "preemption-timer"
+    kinds = frozenset({"vcpu_state", "ptimer_start", "ptimer_stop", "ptimer_fire"})
 
     def __init__(self) -> None:
         super().__init__()
         self._running: dict[str, int] = {}  # source -> started deadline
         self._vcpu_state: dict[str, str] = {}
 
-    def on_event(self, record: TraceRecord) -> None:
-        kind = record.kind
-        if kind == "vcpu_state" and ev.validate_record(record) is None:
-            self._vcpu_state[record.source] = record.detail[1]
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
+        if error is not None:
             return
-        if not kind.startswith("ptimer_") or ev.validate_record(record) is not None:
+        kind = record.kind
+        if kind == "vcpu_state":
+            self._vcpu_state[record.source] = record.detail[1]
             return
         self.seen += 1
         src = record.source
@@ -182,15 +193,16 @@ class LapicChecker(Checker):
     """
 
     name = "lapic"
+    kinds = frozenset({"lapic_arm", "lapic_disarm", "lapic_fire"})
 
     def __init__(self) -> None:
         super().__init__()
         self._armed: dict[str, tuple[str, int]] = {}  # source -> (mode, expiry)
 
-    def on_event(self, record: TraceRecord) -> None:
-        kind = record.kind
-        if not kind.startswith("lapic_") or ev.validate_record(record) is not None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
+        if error is not None:
             return
+        kind = record.kind
         self.seen += 1
         src = record.source
         if kind == "lapic_arm":
@@ -224,19 +236,20 @@ class GuestDeadlineChecker(Checker):
     """
 
     name = "guest-deadline"
+    kinds = frozenset({
+        "deadline_set", "deadline_clear", "deadline_fire",
+        "hostdl_arm", "hostdl_cancel", "hostdl_fire",
+    })
 
     def __init__(self) -> None:
         super().__init__()
         self._deadline: dict[str, int] = {}
         self._host_armed: dict[str, int] = {}
 
-    def on_event(self, record: TraceRecord) -> None:
-        kind = record.kind
-        if kind not in (
-            "deadline_set", "deadline_clear", "deadline_fire",
-            "hostdl_arm", "hostdl_cancel", "hostdl_fire",
-        ) or ev.validate_record(record) is not None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
+        if error is not None:
             return
+        kind = record.kind
         self.seen += 1
         src = record.source
         if kind == "deadline_set":
@@ -295,6 +308,7 @@ class CntvChecker(Checker):
     """
 
     name = "cntv"
+    kinds = frozenset({"cntv_cval", "cntv_ctl", "deadline_set", "deadline_clear", "vmexit"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -311,11 +325,11 @@ class CntvChecker(Checker):
             )
         self._pending[record.source] = (kind, detail, record.time)
 
-    def on_event(self, record: TraceRecord) -> None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
         kind = record.kind
         src = record.source
         if kind in ("cntv_cval", "cntv_ctl"):
-            if ev.validate_record(record) is not None:
+            if error is not None:
                 return
             self.seen += 1
             if kind == "cntv_cval":
@@ -341,7 +355,7 @@ class CntvChecker(Checker):
                 self._expect(record, "deadline_clear", None)
             return
         if kind in ("deadline_set", "deadline_clear"):
-            if src not in self._enabled or ev.validate_record(record) is not None:
+            if src not in self._enabled or error is not None:
                 return
             self.seen += 1
             pending = self._pending.pop(src, None)
@@ -359,13 +373,14 @@ class CntvChecker(Checker):
                     f"{kind} expiry {record.detail} != trapped CVAL expiry {want_expiry}",
                 )
             return
+        # vmexit: only a vtimer IRQ delivering the guest tick, on a
+        # source that traps CNTV writes, is checked.
         if (
-            kind == "vmexit"
+            src in self._enabled
             and isinstance(record.detail, tuple)
             and len(record.detail) == 2
             and record.detail[0] == "vtimer_irq"
             and record.detail[1] == "timer_guest_tick"
-            and src in self._enabled
         ):
             self.seen += 1
             if not self._enabled[src]:
@@ -402,6 +417,7 @@ class TickSchedChecker(Checker):
     """
 
     name = "tick-sched"
+    kinds = frozenset({"idle_enter", "idle_exit", "tick_stop", "tick_restart", "tick_kept"})
 
     def __init__(self, mode: Optional[TickMode] = None) -> None:
         super().__init__()
@@ -409,10 +425,9 @@ class TickSchedChecker(Checker):
         self._idle_depth: dict[str, int] = {}
         self._stopped: dict[str, bool] = {}
 
-    def on_event(self, record: TraceRecord) -> None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
+        # Acts on malformed records too: these kinds carry no detail.
         kind = record.kind
-        if kind not in ("idle_enter", "idle_exit", "tick_stop", "tick_restart", "tick_kept"):
-            return
         self.seen += 1
         src = record.source
         if kind == "idle_enter":
@@ -443,14 +458,15 @@ class InjectChecker(Checker):
     hypervisor can legally deliver."""
 
     name = "inject"
+    kinds = frozenset({"inject"})
 
     def __init__(self, mode: Optional[TickMode] = None) -> None:
         super().__init__()
         self.mode = mode
         self._legal = frozenset(int(v) for v in Vector)
 
-    def on_event(self, record: TraceRecord) -> None:
-        if record.kind != "inject" or ev.validate_record(record) is not None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
+        if error is not None:
             return
         self.seen += 1
         for v in record.detail:
@@ -498,12 +514,14 @@ class SuspendSpanChecker(Checker):
     """
 
     name = "suspend-span"
+    kinds = frozenset({"vm_suspend", "vm_resume", "vm_restore"}) | _SUSPEND_FORBIDDEN
 
     def __init__(self) -> None:
         super().__init__()
         self._suspended: dict[str, int] = {}  # vm name -> suspend time
 
-    def on_event(self, record: TraceRecord) -> None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
+        # Acts on malformed records too: only kind, source and time matter.
         kind = record.kind
         if kind == "vm_suspend":
             self.seen += 1
@@ -518,7 +536,7 @@ class SuspendSpanChecker(Checker):
             if kind == "vm_resume":
                 self._suspended.pop(record.source, None)
             return
-        if kind not in _SUSPEND_FORBIDDEN or not self._suspended:
+        if not self._suspended:
             return
         self.seen += 1
         vm = _vm_of(record.source)
@@ -541,22 +559,22 @@ class RestoreMonotonicChecker(Checker):
     """
 
     name = "restore-rearm"
+    kinds = frozenset({
+        "vm_restore", "deadline_set", "hostdl_arm", "ptimer_start", "lapic_arm", "cntv_cval",
+    })
 
     def __init__(self) -> None:
         super().__init__()
         self._restored_at: dict[str, int] = {}  # vm name -> last restore time
 
-    def on_event(self, record: TraceRecord) -> None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
         kind = record.kind
         if kind == "vm_restore":
+            # Only the restore instant matters, so a malformed one counts.
             self.seen += 1
             self._restored_at[record.source] = record.time
             return
-        if kind not in (
-            "deadline_set", "hostdl_arm", "ptimer_start", "lapic_arm", "cntv_cval",
-        ):
-            return
-        if ev.validate_record(record) is not None:
+        if error is not None or not self._restored_at:
             return
         since = self._restored_at.get(_vm_of(record.source))
         if since is None:
@@ -581,6 +599,7 @@ class HotplugChecker(Checker):
     """
 
     name = "hotplug"
+    kinds = frozenset({"vcpu_hotplug", "vcpu_unplug", "vcpu_state"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -588,11 +607,11 @@ class HotplugChecker(Checker):
         self._awaiting_boot: set[str] = set() # hotplugged, no state event yet
         self._unplugged: set[str] = set()
 
-    def on_event(self, record: TraceRecord) -> None:
+    def on_event(self, record: TraceRecord, error: Optional[str]) -> None:
+        if error is not None:
+            return
         kind = record.kind
         if kind in ("vcpu_hotplug", "vcpu_unplug"):
-            if ev.validate_record(record) is not None:
-                return
             self.seen += 1
             src = f"{record.source}/vcpu{record.detail}"
             if kind == "vcpu_hotplug":
@@ -607,8 +626,6 @@ class HotplugChecker(Checker):
                 self._online.discard(src)
                 self._awaiting_boot.discard(src)
                 self._unplugged.add(src)
-            return
-        if kind != "vcpu_state" or ev.validate_record(record) is not None:
             return
         src = record.source
         old, new = record.detail
@@ -645,8 +662,17 @@ def default_checkers(mode: Optional[TickMode] = None) -> list[Checker]:
     ]
 
 
+#: ``TraceRecord(...)`` without the Python-level ``__new__`` call.
+_new_record = tuple.__new__
+
+
 class TickSanitizer(Tracer):
     """A tracer that runs the checker battery on every record, online.
+
+    Each record is validated once against the event schema and handed,
+    with that verdict, only to the checkers whose ``kinds`` consume it;
+    the per-kind route is built on the kind's first record, so the
+    battery is fixed once records flow.
 
     Attach directly (``run_workload(..., tracer=TickSanitizer())``) or
     alongside another tracer through :class:`~repro.sim.trace.TeeTracer`.
@@ -664,14 +690,32 @@ class TickSanitizer(Tracer):
         #: (reason_value, tag_value) -> traced exit count.
         self.exit_tally: dict[tuple[str, str], int] = {}
         self._finished = False
+        #: kind -> (schema check, the ``on_event`` handlers that consume it).
+        self._routes: dict[str, tuple[Callable[[str, Any], Optional[str]], tuple]] = {}
+
+    def _route(self, kind: str) -> tuple:
+        handlers = [c.on_event for c in self.checkers if consumes(c, kind)]
+        if kind == "vmexit":
+            handlers.append(self._tally_exit)
+        route = self._routes[kind] = (ev.validator_for(kind), tuple(handlers))
+        return route
+
+    def _tally_exit(self, record: TraceRecord, error: Optional[str]) -> None:
+        detail = record.detail
+        if isinstance(detail, tuple) and len(detail) == 2:
+            self.exit_tally[detail] = self.exit_tally.get(detail, 0) + 1
 
     def emit(self, time: int, source: str, kind: str, detail: Any = None) -> None:
-        record = TraceRecord(time, source, kind, detail)
         self.events += 1
-        if kind == "vmexit" and isinstance(detail, tuple) and len(detail) == 2:
-            self.exit_tally[detail] = self.exit_tally.get(detail, 0) + 1
-        for checker in self.checkers:
-            checker.on_event(record)
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._route(kind)
+        check, handlers = route
+        if handlers:
+            record = _new_record(TraceRecord, (time, source, kind, detail))
+            error = check(kind, detail)
+            for on_event in handlers:
+                on_event(record, error)
 
     def feed(self, records: Iterable[TraceRecord]) -> "TickSanitizer":
         """Replay an existing record stream (offline checking)."""

@@ -82,94 +82,99 @@ def _pair(detail: Any) -> Optional[tuple]:
     return detail if isinstance(detail, tuple) and len(detail) == 2 else None
 
 
-def _validate_vmexit(d: Any) -> Optional[str]:
-    p = _pair(d)
-    if p is None or not all(isinstance(x, str) for x in p):
-        return f"expected (reason, tag) strings, got {d!r}"
+def _validate_vmexit(kind: str, d: Any) -> Optional[str]:
+    if not (isinstance(d, tuple) and len(d) == 2 and isinstance(d[0], str)
+            and isinstance(d[1], str)):
+        return f"{kind}: expected (reason, tag) strings, got {d!r}"
     return None
 
 
-def _validate_inject(d: Any) -> Optional[str]:
+def _validate_inject(kind: str, d: Any) -> Optional[str]:
     if not isinstance(d, tuple) or not d:
-        return f"expected non-empty vector tuple, got {d!r}"
+        return f"{kind}: expected non-empty vector tuple, got {d!r}"
     if not all(isinstance(v, int) for v in d):
-        return f"vectors must be ints, got {d!r}"
+        return f"{kind}: vectors must be ints, got {d!r}"
     return None
 
 
-def _validate_vcpu_state(d: Any) -> Optional[str]:
-    p = _pair(d)
-    if p is None or not all(s in VCPU_STATES for s in p):
-        return f"expected (old, new) state values, got {d!r}"
+def _validate_vcpu_state(kind: str, d: Any) -> Optional[str]:
+    if not (isinstance(d, tuple) and len(d) == 2 and d[0] in VCPU_STATES
+            and d[1] in VCPU_STATES):
+        return f"{kind}: expected (old, new) state values, got {d!r}"
     return None
 
 
-def _validate_abs_ns(d: Any) -> Optional[str]:
-    return None if _is_ns(d) else f"expected absolute ns >= 0, got {d!r}"
+def _validate_abs_ns(kind: str, d: Any) -> Optional[str]:
+    return None if _is_ns(d) else f"{kind}: expected absolute ns >= 0, got {d!r}"
 
 
-def _validate_opt_ns(d: Any) -> Optional[str]:
-    return None if d is None or _is_ns(d) else f"expected ns or None, got {d!r}"
+def _validate_opt_ns(kind: str, d: Any) -> Optional[str]:
+    return None if d is None or _is_ns(d) else f"{kind}: expected ns or None, got {d!r}"
 
 
-def _validate_none(d: Any) -> Optional[str]:
-    return None if d is None else f"expected no detail, got {d!r}"
+def _validate_none(kind: str, d: Any) -> Optional[str]:
+    return None if d is None else f"{kind}: expected no detail, got {d!r}"
 
 
-def _validate_deadline_fire(d: Any) -> Optional[str]:
+def _validate_deadline_fire(kind: str, d: Any) -> Optional[str]:
     p = _pair(d)
     if p is None or not _is_ns(p[0]) or p[1] not in ("ptimer", "host"):
-        return f"expected (deadline_ns, 'ptimer'|'host'), got {d!r}"
+        return f"{kind}: expected (deadline_ns, 'ptimer'|'host'), got {d!r}"
     return None
 
 
-def _validate_lapic_arm(d: Any) -> Optional[str]:
+def _validate_lapic_arm(kind: str, d: Any) -> Optional[str]:
     p = _pair(d)
     if p is None or p[0] not in LAPIC_MODES or not _is_ns(p[1]):
-        return f"expected (mode, expiry_ns), got {d!r}"
+        return f"{kind}: expected (mode, expiry_ns), got {d!r}"
     return None
 
 
-def _validate_lapic_fire(d: Any) -> Optional[str]:
+def _validate_lapic_fire(kind: str, d: Any) -> Optional[str]:
     p = _pair(d)
     if p is None or p[0] not in LAPIC_MODES or not isinstance(p[1], int):
-        return f"expected (mode, vector), got {d!r}"
+        return f"{kind}: expected (mode, vector), got {d!r}"
     return None
 
 
-def _validate_sched_dispatch(d: Any) -> Optional[str]:
+def _validate_sched_dispatch(kind: str, d: Any) -> Optional[str]:
     p = _pair(d)
     if p is None or not _is_ns(p[0]) or not _is_ns(p[1]):
-        return f"expected (pcpu_index, stolen_ns) non-negative ints, got {d!r}"
+        return f"{kind}: expected (pcpu_index, stolen_ns) non-negative ints, got {d!r}"
     return None
 
 
-def _validate_index(d: Any) -> Optional[str]:
+def _validate_index(kind: str, d: Any) -> Optional[str]:
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        return f"expected non-negative index, got {d!r}"
+        return f"{kind}: expected non-negative index, got {d!r}"
     return None
 
 
-def _validate_signed_ns(d: Any) -> Optional[str]:
+def _validate_signed_ns(kind: str, d: Any) -> Optional[str]:
     if not isinstance(d, int) or isinstance(d, bool):
-        return f"expected signed ns int, got {d!r}"
+        return f"{kind}: expected signed ns int, got {d!r}"
     return None
 
 
-def _validate_ctl_bit(d: Any) -> Optional[str]:
+def _validate_ctl_bit(kind: str, d: Any) -> Optional[str]:
     if not isinstance(d, int) or isinstance(d, bool) or d not in (0, 1):
-        return f"expected ENABLE bit 0|1, got {d!r}"
+        return f"{kind}: expected ENABLE bit 0|1, got {d!r}"
     return None
 
 
-def _validate_msr_write(d: Any) -> Optional[str]:
+def _validate_msr_write(kind: str, d: Any) -> Optional[str]:
     p = _pair(d)
     if p is None or not all(isinstance(x, int) and x >= 0 for x in p):
-        return f"expected (index, value) non-negative ints, got {d!r}"
+        return f"{kind}: expected (index, value) non-negative ints, got {d!r}"
     return None
 
 
-_VALIDATORS: dict[str, Callable[[Any], Optional[str]]] = {
+def _unregistered(kind: str, d: Any) -> Optional[str]:
+    return f"unregistered event kind {kind!r}"
+
+
+#: kind -> ``validator(kind, detail)``: the full error message, or None.
+_VALIDATORS: dict[str, Callable[[str, Any], Optional[str]]] = {
     "vmexit": _validate_vmexit,
     "inject": _validate_inject,
     "vcpu_state": _validate_vcpu_state,
@@ -205,13 +210,16 @@ _VALIDATORS: dict[str, Callable[[Any], Optional[str]]] = {
 }
 
 
+def validator_for(kind: str) -> Callable[[str, Any], Optional[str]]:
+    """The schema check for ``kind``: ``check(kind, detail)`` returns the
+    error :func:`validate_record` would, so a caller can look it up once
+    per kind."""
+    return _VALIDATORS.get(kind, _unregistered)
+
+
 def validate_record(record: TraceRecord) -> Optional[str]:
     """Return an error string when ``record`` violates the schema."""
-    validator = _VALIDATORS.get(record.kind)
-    if validator is None:
-        return f"unregistered event kind {record.kind!r}"
-    err = validator(record.detail)
-    return None if err is None else f"{record.kind}: {err}"
+    return validator_for(record.kind)(record.kind, record.detail)
 
 
 def vcpu_of(source: str) -> str:

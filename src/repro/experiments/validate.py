@@ -3,15 +3,19 @@
 Runs a fast subset of the reproduction's load-bearing invariants so a
 user can confirm an installation behaves before launching the full
 benchmark suite (~1 minute instead of ~20).
+
+Every condition is an explicit :func:`require`, not an ``assert``, so
+the battery checks the same things under ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.config import TickMode
 from repro.core.model import TABLE1_PAPER, table1_row
+from repro.errors import ReproError
 from repro.experiments.runner import run_comparison, run_workload
 from repro.sim.timebase import SEC
 from repro.workloads.micro import IdleWorkload, PingPongWorkload, SyncStormWorkload
@@ -24,17 +28,27 @@ class CheckResult:
     detail: str
 
 
+class CheckFailed(ReproError):
+    """A validation check's condition did not hold."""
+
+
+def require(condition: bool, message: Any) -> None:
+    """Fail the running check with ``message`` unless ``condition`` holds."""
+    if not condition:
+        raise CheckFailed(str(message))
+
+
 def _check(name: str, fn: Callable[[], str]) -> CheckResult:
     try:
         return CheckResult(name, True, fn())
-    except AssertionError as e:
+    except CheckFailed as e:
         return CheckResult(name, False, str(e))
 
 
 def check_table1() -> str:
     for w, paper in TABLE1_PAPER.items():
         got = table1_row(w)
-        assert got == paper, f"{w}: {got} != paper {paper}"
+        require(got == paper, f"{w}: {got} != paper {paper}")
     return "all four rows exact"
 
 
@@ -44,26 +58,26 @@ def check_determinism() -> str:
         return (m.exec_time_ns, m.total_exits, m.total_cycles)
 
     a, b = fp(), fp()
-    assert a == b, f"{a} != {b}"
+    require(a == b, f"{a} != {b}")
     return f"bit-identical runs (exits={a[1]})"
 
 
 def check_idle_quiet() -> str:
     m = run_workload(IdleWorkload(vcpus=4), tick_mode=TickMode.TICKLESS,
                      noise=False, horizon_ns=SEC // 2)
-    assert m.total_exits < 60, f"{m.total_exits} exits on an idle tickless VM"
+    require(m.total_exits < 60, f"{m.total_exits} exits on an idle tickless VM")
     p = run_workload(IdleWorkload(vcpus=4), tick_mode=TickMode.PERIODIC,
                      noise=False, horizon_ns=SEC // 2)
-    assert p.total_exits > 400, f"periodic idle VM too quiet ({p.total_exits})"
+    require(p.total_exits > 400, f"periodic idle VM too quiet ({p.total_exits})")
     return f"tickless idle {m.total_exits} exits vs periodic {p.total_exits}"
 
 
 def check_paratick_wins_sync() -> str:
     wl = SyncStormWorkload(threads=4, events_per_second=3000.0, duration_cycles=120_000_000)
     comp, base, cand = run_comparison(wl, seed=5)
-    assert comp.vm_exits < -0.15, f"exits only {comp.vm_exits:+.1%}"
-    assert comp.throughput > 0.0, f"throughput {comp.throughput:+.1%}"
-    assert cand.timer_exits <= base.timer_exits, "§4.2 guarantee violated"
+    require(comp.vm_exits < -0.15, f"exits only {comp.vm_exits:+.1%}")
+    require(comp.throughput > 0.0, f"throughput {comp.throughput:+.1%}")
+    require(cand.timer_exits <= base.timer_exits, "§4.2 guarantee violated")
     return f"exits {comp.vm_exits:+.1%}, throughput {comp.throughput:+.1%}"
 
 
@@ -84,8 +98,8 @@ def check_sanitizer() -> str:
             ),
             mode,
         )
-        assert not bad, f"{mode.value}: {bad[:3]}"
-        assert sanitizer.events > 0, f"{mode.value}: no trace events seen"
+        require(not bad, f"{mode.value}: {bad[:3]}")
+        require(sanitizer.events > 0, f"{mode.value}: no trace events seen")
         events += sanitizer.events
     return f"3 modes clean ({events} events checked)"
 
@@ -95,7 +109,7 @@ def check_fuzz_seed() -> str:
     from repro.analysis.fuzz import fuzz_seed
 
     report = fuzz_seed(0)
-    assert report.ok, report.problems[:3]
+    require(report.ok, report.problems[:3])
     return f"seed 0: {report.runs} runs, {report.events} events, 0 violations"
 
 
@@ -128,14 +142,14 @@ def check_observability(artifacts_dir=None) -> str:
     for cpu in machine.cpus:
         want = cpu.busy_ns() // obs.profiler.period_ns
         got = obs.profiler.samples_on(cpu.index)
-        assert got == want, f"pCPU{cpu.index}: {got} samples, ledger says {want}"
-    assert m.steal_ns > 0, "overcommitted ping-pong produced no steal"
+        require(got == want, f"pCPU{cpu.index}: {got} samples, ledger says {want}")
+    require(m.steal_ns > 0, "overcommitted ping-pong produced no steal")
     bad = obs.steal.reconcile_runtime(hv)
     bad += obs.steal.reconcile_timeline(machine, now)
-    assert not bad, bad[:3]
+    require(not bad, bad[:3])
     doc = obs.chrome_trace()
     errors = validate_chrome_trace(doc)
-    assert not errors, errors[:3]
+    require(not errors, errors[:3])
     if artifacts_dir is not None:
         import os
 

@@ -57,10 +57,13 @@ class VcpuCtx:
         "need_resched",
         "io_done",
         "hw_state",
+        "trace_src",
     )
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, vm_name: str):
         self.index = index
+        #: Source string of this vCPU's guest-side trace records.
+        self.trace_src = f"{vm_name}/vcpu{index}"
         self.ops: deque[gops.GuestOp] = deque()
         self.idle = False
         self.tick_stopped = False
@@ -89,7 +92,7 @@ class GuestKernel:
         self.tick_mode: TickMode = vm.spec.tick_mode
         self.period_ns: int = vm.spec.tick_period_ns
         self.nvcpus = vm.spec.vcpus
-        self._ctx = [VcpuCtx(i) for i in range(self.nvcpus)]
+        self._ctx = [VcpuCtx(i, vm.name) for i in range(self.nvcpus)]
         self.rcu = Rcu(self.nvcpus)
         self.sched = GuestScheduler(self.nvcpus, self._notify_resched, self._task_done)
         self.block_device = None
@@ -168,12 +171,12 @@ class GuestKernel:
         """
         if vidx == self.nvcpus:
             self.nvcpus += 1
-            self._ctx.append(VcpuCtx(vidx))
+            self._ctx.append(VcpuCtx(vidx, self.vm.name))
             self.rcu.grow()
             self.sched.grow()
         elif 0 <= vidx < self.nvcpus:
             # Re-plug of an offlined index: fresh per-vCPU state.
-            self._ctx[vidx] = VcpuCtx(vidx)
+            self._ctx[vidx] = VcpuCtx(vidx, self.vm.name)
         else:
             raise GuestError(f"hotplug at index {vidx} skips slot {self.nvcpus}")
         boot = self.costs.guest_boot_init + vidx * 40_000
@@ -218,7 +221,7 @@ class GuestKernel:
         """
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, f"{self.vm.name}/vcpu{vidx}", kind, detail)
+            trace.emit(self.sim.now, self._ctx[vidx].trace_src, kind, detail)
 
     def push(self, vidx: int, op: gops.GuestOp) -> None:
         """Append an op for ``vidx`` (redirected during IRQ processing)."""

@@ -401,7 +401,7 @@ class Hypervisor:
             if nxt is not None:
                 nxt.exec.dispatch()
         v.exec.shutdown()
-        src = f"{vm.name}/vcpu{index}"
+        src = v.trace_src
         prev = vm.retired_steal.get(src, (0, 0))
         vm.retired_steal[src] = (prev[0] + v.total_steal_ns, prev[1] + v.steal_episodes)
         vm.vcpus.pop()
@@ -460,9 +460,7 @@ class _VcpuExec:
         self._ns = hv.cost_ns
         self._exit_hw_ns = self._ns[self.costs.vmexit_hw]
         self._pollution_ns = self._ns[self.costs.pollution]
-        self.preempt_timer = PreemptionTimer(
-            hv.sim, self._on_preempt_timer, name=f"{vm.name}/vcpu{vcpu.index}"
-        )
+        self.preempt_timer = PreemptionTimer(hv.sim, self._on_preempt_timer, name=vcpu.trace_src)
         self._cur_op: Optional[gops.Compute] = None
         self._cur_start = 0
         self._cur_dur = 0
@@ -488,14 +486,12 @@ class _VcpuExec:
         #: by the arch's TimerHardware.decode; None on x86).
         self.timerhw_state = None
 
-    def _trace(self, kind: str, detail=None, *, suffix: str = "") -> None:
+    def _trace(self, kind: str, detail=None) -> None:
         """Emit a structured event for this vCPU (callers building tuple
         details should pre-check ``sim.trace.enabled`` themselves)."""
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(
-                self.sim.now, f"{self.vm.name}/vcpu{self.vcpu.index}{suffix}", kind, detail
-            )
+            trace.emit(self.sim.now, self.vcpu.trace_src, kind, detail)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -637,8 +633,7 @@ class _VcpuExec:
         vectors = vcpu.drain_irqs()
         if vectors and self.sim.trace.enabled:
             self.sim.trace.emit(
-                self.sim.now, f"{self.vm.name}/vcpu{vcpu.index}", "inject",
-                tuple(int(v) for v in vectors),
+                self.sim.now, vcpu.trace_src, "inject", tuple(int(v) for v in vectors)
             )
         c = self.costs
         entry_ns = self._ns[c.vmentry_hw + c.inject_irq * len(vectors)]
@@ -784,8 +779,7 @@ class _VcpuExec:
         self.vm.counters.record(vcpu.index, reason, tag)
         if self.sim.trace.enabled:
             self.sim.trace.emit(
-                self.sim.now, f"{self.vm.name}/vcpu{vcpu.index}", "vmexit",
-                (reason.value, tag.value),
+                self.sim.now, vcpu.trace_src, "vmexit", (reason._value_, tag._value_)
             )
         exit_hw_ns = self._exit_hw_ns
         handler_ns = self._ns[handler_cycles]
@@ -843,7 +837,7 @@ class _VcpuExec:
                 self.sim,
                 self.hv.tsc,
                 self._vlapic_deliver,
-                name=f"{self.vm.name}/vcpu{self.vcpu.index}/vlapic",
+                name=f"{self.vcpu.trace_src}/vlapic",
             )
         self._vlapic.arm_periodic_ns(period_ns)
         if self.vm.suspended:

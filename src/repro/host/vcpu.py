@@ -54,6 +54,7 @@ class VCpu:
         "requested_cstate",
         "cstate_residency_ns",
         "exec",
+        "trace_src",
     )
 
     def __init__(self, index: int, vm_name: str, pcpu: PhysicalCPU):
@@ -88,6 +89,8 @@ class VCpu:
         self.cstate_residency_ns: dict[str, int] = {}
         #: Back-reference to the executor driving this vCPU (set by KVM).
         self.exec = None
+        #: Source string of this vCPU's trace records (``vm0/vcpu1``).
+        self.trace_src = f"{vm_name}/vcpu{index}"
 
     @property
     def state(self) -> VcpuState:
@@ -101,13 +104,12 @@ class VCpu:
         # All writers (the executor in repro.host.kvm and the host
         # scheduler) funnel through here, so the trace sees the complete
         # run-state machine — that is what repro.analysis checks against.
+        # ``_value_`` is what ``.value`` returns, minus the Enum
+        # descriptor call (a CPython 3.11 cost on this hot path).
         trace = self.pcpu._sim.trace
         if trace.enabled and old is not new:
             trace.emit(
-                self.pcpu._sim.now,
-                f"{self.vm_name}/vcpu{self.index}",
-                "vcpu_state",
-                (old.value, new.value),
+                self.pcpu._sim.now, self.trace_src, "vcpu_state", (old._value_, new._value_)
             )
 
     def post_irq(self, vector: Vector) -> bool:

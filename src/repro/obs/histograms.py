@@ -181,6 +181,7 @@ class LatencyRecorder(Tracer):
     """Streams trace events into the latency histogram registry."""
 
     enabled = True
+    kinds = frozenset({"vmexit", "vcpu_state", "deadline_fire", "lapic_fire", "inject"})
 
     def __init__(self, registry: Optional[HistogramRegistry] = None) -> None:
         self.registry = registry if registry is not None else HistogramRegistry()

@@ -73,6 +73,7 @@ class SeriesRecorder(Tracer):
     """Streams trace events into sparse per-window accumulators."""
 
     enabled = True
+    kinds = frozenset({"vmexit", "vcpu_state", "deadline_fire", "lapic_fire", "inject"})
 
     def __init__(self, window_ns: int = DEFAULT_WINDOW_NS) -> None:
         if window_ns <= 0:

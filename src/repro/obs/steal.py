@@ -40,6 +40,7 @@ class StealTracker(Tracer):
     """Reconstructs per-vCPU / per-pCPU steal time from the trace."""
 
     enabled = True
+    kinds = frozenset({"vcpu_state", "sched_dispatch"})
 
     def __init__(self) -> None:
         #: source -> ns when it entered READY (open interval).
@@ -113,7 +114,7 @@ class StealTracker(Tracer):
             for src, (ns, eps) in vm.retired_steal.items():
                 runtime[src] = (ns, eps)
             for vcpu in vm.vcpus:
-                src = f"{vcpu.vm_name}/vcpu{vcpu.index}"
+                src = vcpu.trace_src
                 base = runtime.get(src, (0, 0))
                 runtime[src] = (base[0] + vcpu.total_steal_ns, base[1] + vcpu.steal_episodes)
         for src, (run_ns, run_eps) in runtime.items():
@@ -169,7 +170,7 @@ def runtime_steal_summary(hv: "Hypervisor") -> dict[str, dict[str, int]]:
     out: dict[str, dict[str, int]] = {}
     for vm in hv.vms:
         for vcpu in vm.vcpus:
-            out[f"{vcpu.vm_name}/vcpu{vcpu.index}"] = {
+            out[vcpu.trace_src] = {
                 "steal_ns": vcpu.total_steal_ns,
                 "episodes": vcpu.steal_episodes,
             }

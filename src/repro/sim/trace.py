@@ -5,17 +5,19 @@ integration tests assert *sequences* of behaviour (e.g. "idle entry is
 followed by exactly one MSR-write exit in tickless mode, none in
 paratick"). Production experiment runs use :class:`NullTracer`, which
 compiles down to a single attribute check on the hot path.
+
+A sink declares the kinds it consumes as a class-level ``kinds``
+frozenset (``None``, the default, means every kind); :class:`TeeTracer`
+delivers each record only to the sinks that consume its kind.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One trace entry: ``(time, source, kind, detail)``."""
 
     time: int
@@ -33,6 +35,8 @@ class Tracer:
 
     #: Fast-path flag: components skip building detail objects when False.
     enabled: bool = True
+    #: Kinds this sink consumes; None means every kind.
+    kinds: Optional[frozenset[str]] = None
 
     def emit(self, time: int, source: str, kind: str, detail: Any = None) -> None:
         raise NotImplementedError
@@ -51,7 +55,10 @@ class RingTracer(Tracer):
     """Keeps the last ``capacity`` records in memory.
 
     Optionally filters by ``kinds`` (an iterable of kind strings) so long
-    runs can trace only the events of interest.
+    runs can trace only the events of interest. The filter is applied
+    here, not by routing: every record counts toward :attr:`offered`,
+    so the ring consumes every kind (its :meth:`kinds` is a histogram,
+    not a routing declaration).
     """
 
     enabled = True
@@ -106,14 +113,43 @@ class CallbackTracer(Tracer):
         self._fn(TraceRecord(time, source, kind, detail))
 
 
+def consumed_kinds(sink: Any) -> Optional[frozenset[str]]:
+    """The kinds ``sink`` declares it consumes, or None for every kind.
+
+    Only a frozenset is a declaration; anything else (unset, or a
+    method such as :meth:`RingTracer.kinds`) routes every kind.
+    """
+    kinds = getattr(sink, "kinds", None)
+    return kinds if isinstance(kinds, frozenset) else None
+
+
+def consumes(sink: Any, kind: str) -> bool:
+    """Whether ``sink`` is to be handed records of ``kind``."""
+    kinds = consumed_kinds(sink)
+    return kinds is None or kind in kinds
+
+
+def union_kinds(sinks: Iterable[Any]) -> Optional[frozenset[str]]:
+    """The kinds any of ``sinks`` consumes; None if one consumes all."""
+    out: frozenset[str] = frozenset()
+    for s in sinks:
+        kinds = consumed_kinds(s)
+        if kinds is None:
+            return None
+        out |= kinds
+    return out
+
+
 class TeeTracer(Tracer):
-    """Fans every record out to several tracers.
+    """Fans every record out to the sinks that consume its kind.
 
     This is how an analysis sink (e.g. the invariant sanitizer in
     :mod:`repro.analysis`) rides along with a user-facing tracer: both
-    attach as sinks and see the identical stream. ``enabled`` is True
+    attach as sinks and see the identical stream, filtered by each
+    sink's ``kinds``. The route for a kind is built on its first record,
+    so a kind no sink consumes costs one dict probe. ``enabled`` is True
     iff any sink is enabled, so the NullTracer fast path is preserved
-    when every sink is disabled.
+    when every sink is disabled; disabled sinks are never routed to.
     """
 
     def __init__(self, *sinks: Tracer):
@@ -121,8 +157,18 @@ class TeeTracer(Tracer):
             raise ValueError("TeeTracer needs at least one sink")
         self.sinks = tuple(sinks)
         self.enabled = any(s.enabled for s in self.sinks)
+        self.kinds = union_kinds(s for s in self.sinks if s.enabled)
+        self._routes: dict[str, tuple[Callable[..., None], ...]] = {}
+
+    def _route(self, kind: str) -> tuple[Callable[..., None], ...]:
+        route = self._routes[kind] = tuple(
+            s.emit for s in self.sinks if s.enabled and consumes(s, kind)
+        )
+        return route
 
     def emit(self, time: int, source: str, kind: str, detail: Any = None) -> None:
-        for s in self.sinks:
-            if s.enabled:
-                s.emit(time, source, kind, detail)
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._route(kind)
+        for emit in route:
+            emit(time, source, kind, detail)

@@ -7,7 +7,8 @@ and cpuidle paths, which trace the most — must complete untouched,
 demonstrating every call site checks ``tracer.enabled`` first.
 
 Also covers TeeTracer, the fan-out used to attach the sanitizer
-alongside a user tracer without losing that fast path.
+alongside a user tracer without losing that fast path, and kind
+routing: a sink or checker is handed only the kinds it declares.
 """
 
 from __future__ import annotations
@@ -93,6 +94,155 @@ class TestTeeTracer:
     def test_empty_tee_rejected(self):
         with pytest.raises(ValueError):
             TeeTracer()
+
+
+class _KindLog(Tracer):
+    """Records the kinds it is handed; ``kinds`` set per instance."""
+
+    def __init__(self, kinds=None):
+        self.kinds = kinds
+        self.got: list[str] = []
+
+    def emit(self, time, source, kind, detail=None):
+        self.got.append(kind)
+
+
+class TestKindRouting:
+    """TeeTracer and TickSanitizer hand a record only to the sinks and
+    checkers whose ``kinds`` consume its kind."""
+
+    def test_sink_never_called_for_excluded_kind(self):
+        narrow = _KindLog(frozenset({"x"}))
+        wide = _KindLog()
+        tee = TeeTracer(narrow, wide)
+        for kind in ("x", "y", "x", "z"):
+            tee.emit(1, "s", kind)
+        assert narrow.got == ["x", "x"]
+        assert wide.got == ["x", "y", "x", "z"]
+
+    def test_undeclared_or_non_frozenset_kinds_route_everything(self):
+        """Only a frozenset narrows routing; a plain set (or a method,
+        like RingTracer.kinds) is not a declaration."""
+        as_set = _KindLog({"x"})
+        tee = TeeTracer(as_set)
+        tee.emit(1, "s", "y")
+        assert as_set.got == ["y"]
+
+    def test_tee_kinds_is_union_of_enabled_sinks(self):
+        from repro.obs.steal import StealTracker
+
+        tee = TeeTracer(_KindLog(frozenset({"a"})), StealTracker(), ExplodingTracer())
+        assert tee.kinds == frozenset({"a", "vcpu_state", "sched_dispatch"})
+        assert TeeTracer(_KindLog(frozenset({"a"})), RingTracer()).kinds is None
+
+    def test_nested_tee_routes_through(self):
+        inner = _KindLog(frozenset({"b"}))
+        outer = TeeTracer(TeeTracer(inner), _KindLog(frozenset({"a"})))
+        for kind in ("a", "b", "c"):
+            outer.emit(1, "s", kind)
+        assert inner.got == ["b"]
+
+    def test_tee_of_disabled_sinks_stays_disabled(self):
+        tee = TeeTracer(ExplodingTracer(), NullTracer())
+        assert tee.enabled is False
+        run_workload(PingPongWorkload(rounds=40), seed=3, tracer=tee)
+
+    def test_disabled_sink_never_routed(self):
+        ring = RingTracer()
+        tee = TeeTracer(ExplodingTracer(), ring)
+        for kind in ("vmexit", "vcpu_state", "unregistered"):
+            tee.emit(1, "s", kind)
+        assert [r.kind for r in ring.records] == ["vmexit", "vcpu_state", "unregistered"]
+
+    def test_filtered_ring_behind_tee_counts_every_offer(self):
+        """RingTracer filters itself, so it must consume every kind at
+        the routing level: ``offered`` counts filtered records too."""
+        ring = RingTracer(capacity=2, kinds={"keep"})
+        assert ring.kinds() == {}
+        tee = TeeTracer(ring, _KindLog(frozenset({"other"})))
+        for i in range(3):
+            tee.emit(i, "s", "keep")
+        tee.emit(9, "s", "other")
+        tee.emit(10, "s", "drop")
+        assert ring.offered == 5
+        assert ring.dropped == 1
+        assert [r.time for r in ring.records] == [1, 2]
+
+    def test_custom_checker_without_kinds_sees_every_record(self):
+        from repro.analysis.checkers import Checker, LapicChecker, TickSanitizer
+
+        class Everything(Checker):
+            name = "everything"
+
+            def __init__(self):
+                super().__init__()
+                self.got = []
+
+            def on_event(self, record, error):
+                self.got.append((record.kind, error is None))
+
+        every, lapic = Everything(), LapicChecker()
+        san = TickSanitizer([every, lapic])
+        san.emit(1, "lapic", "lapic_arm", ("oneshot", 5))
+        san.emit(2, "vm0/vcpu0", "idle_enter")
+        san.emit(3, "vm0/vcpu0", "no_such_kind")
+        san.emit(4, "vm0/vcpu0", "idle_enter", "malformed")
+        assert every.got == [
+            ("lapic_arm", True), ("idle_enter", True),
+            ("no_such_kind", False), ("idle_enter", False),
+        ]
+        assert lapic.seen == 1
+        assert san.events == 4
+
+    def test_checker_never_called_for_excluded_kind(self):
+        from repro.analysis.checkers import InjectChecker, TickSanitizer
+
+        class Strict(InjectChecker):
+            def on_event(self, record, error):
+                assert record.kind == "inject", record.kind
+                super().on_event(record, error)
+
+        strict = Strict()
+        san = TickSanitizer([strict])
+        run_workload(PingPongWorkload(rounds=40), seed=3, tracer=san)
+        assert strict.seen > 0
+        assert san.finish() == []
+
+    def test_declared_kinds_are_registered(self):
+        """A misspelt kind in a declaration would silently starve its
+        consumer, so every declared kind must be in the schema."""
+        from repro.analysis.checkers import default_checkers
+        from repro.analysis.events import EVENT_SCHEMA
+        from repro.obs.histograms import LatencyRecorder
+        from repro.obs.series import SeriesRecorder
+        from repro.obs.steal import StealTracker
+
+        consumers = [*default_checkers(), StealTracker(), SeriesRecorder(), LatencyRecorder()]
+        for c in consumers:
+            if c.kinds is not None:
+                assert c.kinds <= EVENT_SCHEMA.keys(), (type(c).__name__, c.kinds - EVENT_SCHEMA.keys())
+
+    def test_schema_errors_validated_once_per_record(self, monkeypatch):
+        from repro.analysis import events
+        from repro.analysis.checkers import TickSanitizer
+
+        calls = []
+        real = events.validator_for
+
+        def counting(kind):
+            check = real(kind)
+
+            def wrapped(k, detail):
+                calls.append(k)
+                return check(k, detail)
+
+            return wrapped
+
+        monkeypatch.setattr(events, "validator_for", counting)
+        san = TickSanitizer()
+        run_workload(PingPongWorkload(rounds=40), seed=3, tracer=san)
+        assert len(calls) == san.events > 0
+        assert san.ok
 
 
 class TestTeeWithObsSinks:

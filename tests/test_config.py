@@ -7,8 +7,6 @@ import pytest
 from repro.config import (
     HostFeatures,
     IoDeviceKind,
-    MachineSpec,
-    ScenarioConfig,
     TickMode,
     VmSpec,
 )
@@ -44,36 +42,6 @@ class TestHostFeatures:
     def test_negative_poll_rejected(self):
         with pytest.raises(ConfigError):
             HostFeatures(halt_poll_ns=-1)
-
-
-class TestScenarioConfig:
-    def test_valid_default(self):
-        sc = ScenarioConfig()
-        assert len(sc.vms) == 1
-
-    def test_duplicate_vm_names_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(vms=(VmSpec(name="a"), VmSpec(name="a")))
-
-    def test_conflicting_pins_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(
-                vms=(
-                    VmSpec(name="a", pinned_cpus=(0,)),
-                    VmSpec(name="b", pinned_cpus=(0,)),
-                )
-            )
-
-    def test_pin_out_of_machine_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(
-                machine=MachineSpec(sockets=1, cpus_per_socket=1),
-                vms=(VmSpec(name="a", pinned_cpus=(5,)),),
-            )
-
-    def test_empty_vms_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(vms=())
 
 
 class TestEnums:
