@@ -295,6 +295,60 @@ def bench_fleet_host_smoke() -> dict:
     return _ungated(out, dispatched, "dispatched")
 
 
+#: Runs the CLI with the given arguments, then prints how many ``repro``
+#: modules the process loaded.
+_COUNT_REPRO_MODULES = """\
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(rc, sum(m == "repro" or m.startswith("repro.") for m in sys.modules))
+"""
+
+
+def bench_cli_warm_matrix() -> dict:
+    """Harness cold start: a fresh ``python -m repro matrix run`` process
+    over examples/matrix_perturbations.toml on a warm cache.
+
+    No model code runs; the wall clock is interpreter start, imports,
+    matrix expansion, spec keys, cache probes, footer checks and result
+    decoding. ops/sec is cells settled per second of process wall time;
+    ``repro_modules`` (how many ``repro`` modules the process loads) is
+    the deterministic count next to it.
+    """
+    import os
+    import subprocess
+    import sys
+    import tempfile
+
+    matrix = str(REPO_ROOT / "examples" / "matrix_perturbations.toml")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    with tempfile.TemporaryDirectory(prefix="bench-warm-matrix-") as cache:
+        argv = ["--cache-dir", cache, "--quiet-progress", "matrix", "run", matrix]
+
+        def cli(*args: str) -> str:
+            return subprocess.run([sys.executable, *args], env=env, check=True,
+                                  capture_output=True, text=True, timeout=600).stdout
+
+        cli("-m", "repro", *argv)  # cold fill
+        summary = next(line for line in cli("-m", "repro", *argv).splitlines()
+                       if " cell(s), " in line)
+        cells = int(summary.split(": ")[1].split()[0])
+        if f"{cells} cell(s), {cells} cached, 0 executed" not in summary:
+            raise AssertionError(f"warm rerun was not fully cached: {summary}")
+        rc, modules = map(int, cli("-c", _COUNT_REPRO_MODULES, *argv).split())
+        if rc != 0:
+            raise AssertionError(f"warm rerun exited {rc}")
+
+        def run() -> int:
+            cli("-m", "repro", *argv)
+            return cells
+
+        out = _time_best(run, ops=None, repeats=5)
+    out["repro_modules"] = modules
+    return _ungated(out, cells, "cells")
+
+
 BENCHES: dict[str, Callable[[], dict]] = {
     "event_queue_throughput": bench_event_queue_throughput,
     "rearm_churn": bench_rearm_churn,
@@ -306,6 +360,7 @@ BENCHES: dict[str, Callable[[], dict]] = {
     "sanitized_syncstorm": bench_sanitized_syncstorm,
     "ring_tracer_syncstorm": bench_ring_tracer_syncstorm,
     "fleet_host_smoke": bench_fleet_host_smoke,
+    "cli_warm_matrix": bench_cli_warm_matrix,
 }
 
 

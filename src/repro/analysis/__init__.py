@@ -10,9 +10,14 @@
 See ``docs/sanitizer.md`` for the checker catalog and workflows.
 """
 
-from repro.analysis.checkers import Checker, TickSanitizer, Violation, default_checkers
-from repro.analysis.fuzz import FuzzReport, fuzz_many, fuzz_seed, scenario_for_seed
-from repro.analysis.reconcile import reconcile_run
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    checkers="Checker TickSanitizer Violation default_checkers",
+    fuzz="FuzzReport fuzz_many fuzz_seed scenario_for_seed",
+    reconcile="reconcile_run",
+)
 
 __all__ = [
     "Checker",

@@ -25,9 +25,6 @@ import sys
 from contextlib import nullcontext as _nullcontext
 
 from repro.config import TickMode
-from repro.experiments import runner
-from repro.experiments.scenarios import VM_SIZES
-from repro.metrics.report import format_table
 from repro.workloads import parsec
 
 
@@ -87,6 +84,7 @@ def _cmd_table2(args) -> int:
 
 def _cmd_table3(args) -> int:
     from repro.experiments import table3_fig5
+    from repro.experiments.scenarios import VM_SIZES
 
     sizes = [s for s in VM_SIZES if args.size in ("all", s.name)]
     benches = tuple(args.bench) if args.bench else parsec.BENCHMARK_NAMES
@@ -129,6 +127,7 @@ def _cmd_table4(args) -> int:
 
 def _cmd_ablations(args) -> int:
     from repro.experiments import ablations
+    from repro.metrics.report import format_table
 
     engine = _engine_kwargs(args)
     rows = [
@@ -199,6 +198,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from repro.metrics.report import format_table
     from repro.workloads.fio import BLOCK_SIZES, CATEGORIES
     from repro.workloads.parsec import PROFILES
 
@@ -678,6 +678,8 @@ def _write_obs_outputs(obs, args) -> None:
 def _run_parsec(args, **hooks):
     """Run the PARSEC model the arguments name; ``hooks`` (``obs``,
     ``tracer``, ``inspect``) pass through to ``run_workload``."""
+    from repro.experiments.runner import run_workload
+
     wl = parsec.benchmark(args.benchmark, threads=args.threads,
                           target_cycles=args.target_mcycles * 1_000_000)
     if getattr(args, "overcommit", False):
@@ -685,7 +687,7 @@ def _run_parsec(args, **hooks):
 
         mspec, pinned = placement_for(wl.default_vcpus(), OVERCOMMIT)
         hooks.update(machine_spec=mspec, pinned_cpus=pinned)
-    return runner.run_workload(wl, tick_mode=TickMode(args.mode), seed=args.seed, **hooks)
+    return run_workload(wl, tick_mode=TickMode(args.mode), seed=args.seed, **hooks)
 
 
 def _cmd_run(args) -> int:

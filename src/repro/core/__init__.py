@@ -11,13 +11,12 @@ declared through :mod:`repro.core.hypercall`). The analytical models of
 §3 are in :mod:`repro.core.model`.
 """
 
-from repro.core.paratick_guest import ParatickPolicy
-from repro.core.model import (
-    periodic_exits,
-    tickless_exits,
-    paratick_exits,
-    crossover_idle_period_ns,
-    table1_row,
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    paratick_guest="ParatickPolicy",
+    model="periodic_exits tickless_exits paratick_exits crossover_idle_period_ns table1_row",
 )
 
 __all__ = [

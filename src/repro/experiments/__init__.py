@@ -2,16 +2,12 @@
 helpers, the A/B comparison driver, the parallel grid engine and the
 ablation suite."""
 
-from repro.experiments.parallel import (
-    GridResult,
-    RunSpec,
-    WorkloadSpec,
-    run_grid,
-)
-from repro.experiments.runner import (
-    run_comparison,
-    run_replicated_comparison,
-    run_workload,
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    parallel="GridResult RunSpec WorkloadSpec run_grid",
+    runner="run_comparison run_replicated_comparison run_workload",
 )
 
 __all__ = [

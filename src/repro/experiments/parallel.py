@@ -48,16 +48,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import json
-import multiprocessing
 import os
 import signal
 import threading
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
@@ -67,10 +65,15 @@ from repro.errors import ReproError
 from repro.host.perturb import perturbation_from_dict, perturbation_to_dict
 from repro.metrics.perf import RunMetrics
 from repro.metrics.report import Comparison, compare_runs
-from repro.resilience.chaos import ChaosAbort
 from repro.resilience.integrity import CacheFS, attach_footer, quarantine_file, split_verified
 from repro.resilience.journal import JournalState, RunJournal, replay_journal, result_hash
-from repro.resilience.policy import CircuitBreaker, RetryPolicy, RunReport, classify_failure
+from repro.resilience.policy import (
+    ChaosAbort,
+    CircuitBreaker,
+    RetryPolicy,
+    RunReport,
+    classify_failure,
+)
 
 #: Bump when the spec encoding or result encoding changes shape —
 #: invalidates every previously cached result.
@@ -101,9 +104,39 @@ class RunTimeout(ReproError):
 # Workload registry
 # --------------------------------------------------------------------------
 
+#: The built-in kinds: kind -> (module, factory name). A kind's module
+#: is imported on its first lookup, so importing the engine imports no
+#: workload model.
+_DEFAULT_KINDS = {
+    "parsec": ("repro.workloads.parsec", "benchmark"),
+    "fio": ("repro.workloads.fio", "job"),
+    "micro.idle": ("repro.workloads.micro", "IdleWorkload"),
+    "micro.syncstorm": ("repro.workloads.micro", "SyncStormWorkload"),
+    "micro.idleperiod": ("repro.workloads.micro", "IdlePeriodWorkload"),
+    "micro.pingpong": ("repro.workloads.micro", "PingPongWorkload"),
+    "netserve": ("repro.workloads.netserve", "NetServiceWorkload"),
+}
+
+
+def _default_factory(kind: str) -> Callable[..., Any]:
+    module, name = _DEFAULT_KINDS[kind]
+    return getattr(importlib.import_module(module), name)
+
+
+class _WorkloadRegistry(dict):
+    """``kind -> factory``; a built-in kind resolves on its first lookup,
+    so one registered before then keeps the registered factory."""
+
+    def __missing__(self, kind: str) -> Callable[..., Any]:
+        if kind not in _DEFAULT_KINDS:
+            raise KeyError(kind)
+        factory = self[kind] = _default_factory(kind)
+        return factory
+
+
 #: kind -> factory(**params) -> Workload. Extend with
 #: :func:`register_workload` (test fixtures and future workloads).
-WORKLOAD_FACTORIES: dict[str, Callable[..., Any]] = {}
+WORKLOAD_FACTORIES = _WorkloadRegistry()
 
 
 def register_workload(kind: str, factory: Callable[..., Any]) -> None:
@@ -112,26 +145,11 @@ def register_workload(kind: str, factory: Callable[..., Any]) -> None:
 
 
 def _register_defaults() -> None:
-    from repro.workloads import fio, parsec
-    from repro.workloads.micro import (
-        IdlePeriodWorkload,
-        IdleWorkload,
-        PingPongWorkload,
-        SyncStormWorkload,
-    )
-    from repro.workloads.netserve import NetServiceWorkload
+    """Resolve every built-in kind not registered yet."""
+    for kind in _DEFAULT_KINDS:
+        if kind not in WORKLOAD_FACTORIES:
+            WORKLOAD_FACTORIES[kind] = _default_factory(kind)
 
-    register_workload("parsec", parsec.benchmark)
-    register_workload("fio", lambda category, block_size, total_bytes=32 << 20: fio.job(
-        category, block_size, total_bytes=total_bytes))
-    register_workload("micro.idle", IdleWorkload)
-    register_workload("micro.syncstorm", SyncStormWorkload)
-    register_workload("micro.idleperiod", lambda idle_ns, **kw: IdlePeriodWorkload(idle_ns, **kw))
-    register_workload("micro.pingpong", PingPongWorkload)
-    register_workload("netserve", NetServiceWorkload)
-
-
-_register_defaults()
 
 #: Special kind executed by :func:`repro.experiments.overcommit.run_idle_overcommit`
 #: (N idle guests time-sharing a few pCPUs); params ``vms``,
@@ -163,6 +181,7 @@ class WorkloadSpec:
         try:
             factory = WORKLOAD_FACTORIES[self.kind]
         except KeyError:
+            _register_defaults()
             raise GridError(
                 f"unknown workload kind {self.kind!r}; know {sorted(WORKLOAD_FACTORIES)}"
             ) from None
@@ -541,9 +560,12 @@ class ResultCache:
             self._quarantine(path)
             return None
 
-    def load(self, spec: RunSpec) -> Any | None:
-        """Decoded result for ``spec``, or None on miss/corruption."""
-        path = self.path_for(spec_key(spec))
+    def load(self, spec: RunSpec, key: Optional[str] = None) -> Any | None:
+        """Decoded result for ``spec``, or None on miss/corruption.
+
+        ``key`` is ``spec_key(spec)`` when the caller already has it.
+        """
+        path = self.path_for(key or spec_key(spec))
         payload = self._read_json(path)
         if payload is None:
             return None
@@ -581,7 +603,8 @@ class ResultCache:
 
     def store_entry(self, spec: RunSpec, encoded: dict, *,
                     obs: Optional[dict] = None,
-                    series: Optional[dict] = None) -> Path:
+                    series: Optional[dict] = None,
+                    key: Optional[str] = None) -> Path:
         """Store a result plus its artifacts as one atomic unit.
 
         Everything is staged in a throwaway directory first, then
@@ -590,7 +613,7 @@ class ResultCache:
         be present, so any interruption before the final rename reads
         as a cold miss, not a torn entry.
         """
-        key = spec_key(spec)
+        key = key or spec_key(spec)
         result_path = self.path_for(key)
         plan: list[tuple[Path, str]] = []
         if obs is not None:
@@ -617,9 +640,9 @@ class ResultCache:
                 stage.rmdir()
         return result_path
 
-    def load_artifact(self, spec: RunSpec) -> Optional[dict]:
+    def load_artifact(self, spec: RunSpec, key: Optional[str] = None) -> Optional[dict]:
         """Cached profile artifact for ``spec``, or None."""
-        path = self.artifact_path_for(spec_key(spec))
+        path = self.artifact_path_for(key or spec_key(spec))
         payload = self._read_json(path)
         if payload is None:
             return None
@@ -632,9 +655,9 @@ class ResultCache:
         return self._write_atomic(self.artifact_path_for(spec_key(spec)),
                                   json.dumps(obs, sort_keys=True))
 
-    def load_series(self, spec: RunSpec) -> Optional[dict]:
+    def load_series(self, spec: RunSpec, key: Optional[str] = None) -> Optional[dict]:
         """Cached time-series artifact for ``spec``, or None."""
-        path = self.series_path_for(spec_key(spec))
+        path = self.series_path_for(key or spec_key(spec))
         payload = self._read_json(path)
         if payload is None:
             return None
@@ -765,15 +788,24 @@ def _pool_context():
     """Prefer fork: cheap on Linux, and workers inherit workload kinds
     registered by the calling process (tests rely on this).
 
-    A forked worker also inherits the parent's imports, so numpy, which
-    :mod:`repro.sim.rng` imports only on first use, is imported here
-    once instead of once in every fresh worker.
+    A forked worker also inherits the parent's imports, so the run path
+    is imported here once instead of once in every fresh worker: the
+    model behind :func:`run_spec`, the tick policies and default
+    workload kinds it resolves on first use, and ``numpy.random``,
+    which :mod:`repro.sim.rng` imports only on its first draw.
     """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" not in methods:
         return multiprocessing.get_context(methods[0])
-    import numpy  # noqa: F401
+    import numpy.random  # noqa: F401
 
+    import repro.core.paratick_guest  # noqa: F401
+    import repro.experiments.runner  # noqa: F401
+    import repro.fleet.hostsim  # noqa: F401
+
+    _register_defaults()
     return multiprocessing.get_context("fork")
 
 
@@ -928,9 +960,9 @@ def run_grid(
         pending: list[RunSpec] = []
         for spec in unique:
             key = keys[spec]
-            hit = cache.load(spec) if cache is not None else None
-            art = cache.load_artifact(spec) if cache is not None and spec.profile else None
-            ser = cache.load_series(spec) if cache is not None and spec.series else None
+            hit = cache.load(spec, key) if cache is not None else None
+            art = cache.load_artifact(spec, key) if cache is not None and spec.profile else None
+            ser = cache.load_series(spec, key) if cache is not None and spec.series else None
             if tel is not None and cache is not None:
                 tel.instant("cache.probe", lane="cache", spec=spec.display_label())
             # A profiled (or series) spec only counts as a hit when
@@ -1007,7 +1039,8 @@ def run_grid(
                 tel_settle(spec, "ran", wall_ns)
             if cache is not None:
                 try:
-                    cache.store_entry(spec, encoded, obs=obs, series=series)
+                    cache.store_entry(spec, encoded, obs=obs, series=series,
+                                      key=keys[spec])
                     if tel is not None:
                         tel.instant("cache.write", lane="cache",
                                     spec=spec.display_label())
@@ -1100,6 +1133,9 @@ def run_grid(
         if not jobs or jobs <= 1:
             run_serial(pending)
             return finish()
+
+        from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
 
         ctx = _pool_context()
         attempts: dict[RunSpec, int] = {s: 1 for s in pending}

@@ -15,28 +15,16 @@ keeping every result deterministic and content-addressed:
 * :mod:`repro.fleet.report` — rack-level summary tables.
 """
 
-from repro.fleet.aggregate import (
-    FleetAggregate,
-    aggregate_hosts,
-    fleet_bytes,
-    percentile_ns,
-)
-from repro.fleet.hostsim import execute_fleet_spec, run_host
-from repro.fleet.report import failed_lines, format_run_summary
-from repro.fleet.run import (
-    fleet_identity_problems,
-    group_host_cells,
-    identity_problems_for_groups,
-    run_fleet,
-)
-from repro.fleet.spec import (
-    BURSTS,
-    FLEET_HOST,
-    FleetSpec,
-    arrival_schedule,
-    fleet_params,
-    host_run_spec,
-    host_sim_seed,
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    aggregate="FleetAggregate aggregate_hosts fleet_bytes percentile_ns",
+    hostsim="execute_fleet_spec run_host",
+    report="failed_lines format_run_summary",
+    run="fleet_identity_problems group_host_cells identity_problems_for_groups run_fleet",
+    spec="BURSTS FLEET_HOST FleetSpec arrival_schedule fleet_params host_run_spec "
+         "host_sim_seed",
 )
 
 __all__ = [

@@ -8,11 +8,13 @@ the aggregates themselves stay integer-exact.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.fleet.aggregate import REPORT_PERCENTILES, FleetAggregate
 from repro.metrics.report import format_table
 from repro.sim.timebase import fmt_time
+
+if TYPE_CHECKING:
+    from repro.fleet.aggregate import FleetAggregate
 
 #: Columns of :func:`fleet_rows`, in order.
 FLEET_HEADERS = (
@@ -49,6 +51,8 @@ def format_fleet_table(
 
 def format_distributions(agg: FleetAggregate, *, title: str = "") -> str:
     """Percentile table for every distribution of one aggregate."""
+    from repro.fleet.aggregate import REPORT_PERCENTILES
+
     headers = ("distribution", *[f"p{p}" for p in REPORT_PERCENTILES])
     rows = []
     for which in ("host_exec", "host_steal", "guest_latency", "guest_steal"):

@@ -8,7 +8,8 @@ of the reproduction, the scheduler-tick management modes of
 :mod:`repro.core.paratick_guest` (the paper's contribution).
 """
 
-from repro.guest.kernel import GuestKernel
-from repro.guest.task import Task, TaskState
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, kernel="GuestKernel", task="Task TaskState")
 
 __all__ = ["GuestKernel", "Task", "TaskState"]

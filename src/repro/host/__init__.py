@@ -5,15 +5,17 @@ timer-path instructions (``TSC_DEADLINE`` writes, HLT, I/O kicks,
 hypercalls), takes host-tick external-interrupt exits, applies the
 KVM preemption-timer optimization, injects interrupts on VM entry, and —
 when the VM runs in paratick mode — injects virtual scheduler ticks.
-
-``Hypervisor``/``VirtualMachine`` are re-exported lazily to keep the
-import graph acyclic (``repro.host.kvm`` depends on the metrics layer,
-which depends on ``repro.host.exitreasons``).
 """
 
-from repro.host.costs import CostModel, DEFAULT_COSTS
-from repro.host.exitreasons import ExitReason, ExitTag, TIMER_TAGS
-from repro.host.vcpu import VCpu, VcpuState
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    costs="CostModel DEFAULT_COSTS",
+    exitreasons="ExitReason ExitTag TIMER_TAGS",
+    kvm="Hypervisor VirtualMachine",
+    vcpu="VCpu VcpuState",
+)
 
 __all__ = [
     "CostModel",
@@ -26,13 +28,3 @@ __all__ = [
     "VCpu",
     "VcpuState",
 ]
-
-_LAZY = {"Hypervisor", "VirtualMachine"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from repro.host import kvm
-
-        return getattr(kvm, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

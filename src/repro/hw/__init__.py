@@ -6,12 +6,17 @@ preemption timer — plus physical CPUs with per-domain cycle accounting
 and storage/network devices with latency models.
 """
 
-from repro.hw.cpu import CycleDomain, Machine, PhysicalCPU
-from repro.hw.interrupts import Vector
-from repro.hw.lapic import LapicTimer, TimerMode
-from repro.hw.msr import Msr, MsrFile
-from repro.hw.preemption import PreemptionTimer
-from repro.hw.tsc import Tsc
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    cpu="CycleDomain Machine PhysicalCPU",
+    interrupts="Vector",
+    lapic="LapicTimer TimerMode",
+    msr="Msr MsrFile",
+    preemption="PreemptionTimer",
+    tsc="Tsc",
+)
 
 __all__ = [
     "CycleDomain",

@@ -22,12 +22,14 @@ the integration tests via the invariant
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.config import MachineSpec
 from repro.errors import HardwareError
-from repro.sim.engine import Simulator
 from repro.sim.timebase import CpuClock
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 
 class CycleDomain(enum.Enum):

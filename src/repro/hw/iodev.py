@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import HardwareError
-from repro.sim.engine import Simulator
 from repro.sim.stats import OnlineStats
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 
 @dataclass

@@ -13,11 +13,14 @@ the completion callback, just like a storage completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.hw.iodev import CompletionFn, IoDevice, IoRequest
-from repro.sim.engine import Simulator
 from repro.sim.timebase import USEC
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,15 @@ reason and semantic tag), CPU cycles as the system-throughput proxy, and
 application execution time.
 """
 
-from repro.metrics.counters import ExitCounters, ExitRecordKey
-from repro.metrics.perf import RunMetrics, collect_metrics
-from repro.metrics.report import Comparison, compare_runs, format_table
-from repro.metrics.aggregate import aggregate_improvements, merge_run_metrics
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    counters="ExitCounters ExitRecordKey",
+    perf="RunMetrics collect_metrics",
+    report="Comparison compare_runs format_table",
+    aggregate="aggregate_improvements merge_run_metrics",
+)
 
 __all__ = [
     "merge_run_metrics",

@@ -27,31 +27,15 @@ quarantine-recovered run's aggregate bytes equal an uninterrupted
 run's, and the chaos battery asserts exactly that.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.resilience.chaos import ChaosAbort, ChaosPolicy, FailingSink, FaultyFS
-from repro.resilience.integrity import (
-    CacheAudit,
-    CacheFS,
-    CacheIntegrityError,
-    GcStats,
-    gc_cache,
-    verify_cache,
-)
-from repro.resilience.journal import (
-    JournalError,
-    JournalState,
-    ResumeError,
-    RunJournal,
-    grid_digest,
-    replay_journal,
-    result_hash,
-)
-from repro.resilience.policy import (
-    CircuitBreaker,
-    RetryPolicy,
-    RunReport,
-    classify_failure,
+__getattr__ = lazy_exports(
+    __name__,
+    chaos="ChaosPolicy FailingSink FaultyFS",
+    integrity="CacheAudit CacheFS CacheIntegrityError GcStats gc_cache verify_cache",
+    journal="JournalError JournalState ResumeError RunJournal grid_digest replay_journal "
+            "result_hash",
+    policy="ChaosAbort CircuitBreaker RetryPolicy RunReport classify_failure",
 )
 
 __all__ = [

@@ -39,12 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.errors import ReproError
 from repro.resilience.integrity import QUARANTINE_DIR, CacheFS
-
-
-class ChaosAbort(ReproError):
-    """The chaos policy simulated a harness crash mid-grid."""
+from repro.resilience.policy import ChaosAbort
 
 
 @dataclass(frozen=True)

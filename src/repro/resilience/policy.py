@@ -26,9 +26,20 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.errors import ReproError
+
 #: Failure kinds the engine distinguishes (satellite: a timeout, a
 #: worker crash, and an in-worker exception are different diseases).
 FAILURE_KINDS = ("timeout", "crash", "error")
+
+
+class ChaosAbort(ReproError):
+    """The chaos policy simulated a harness crash mid-grid.
+
+    Never retried: the grid stops exactly as a real crash would. It lives
+    here, not in :mod:`repro.resilience.chaos`, so the engine can name it
+    without importing the fault injector.
+    """
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,14 @@ See :mod:`repro.scenarios.matrix` for the file format,
 grid execution. CLI: ``python -m repro matrix {expand,check,run} FILE``.
 """
 
-from repro.scenarios.fuzzbridge import fuzz_cells, fuzz_matrix_cells
-from repro.scenarios.matrix import AXES, Cell, Matrix, load_matrix, parse_matrix
-from repro.scenarios.runcheck import (
-    CellCheck,
-    check_cell,
-    check_cells,
-    identity_problems,
-    run_cells,
-    run_cells_resumable,
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    fuzzbridge="fuzz_cells fuzz_matrix_cells",
+    matrix="AXES Cell Matrix load_matrix parse_matrix",
+    runcheck="CellCheck check_cell check_cells identity_problems run_cells "
+             "run_cells_resumable",
 )
 
 __all__ = [

@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-from repro.analysis.reconcile import sanitized_run
 from repro.experiments.parallel import GridResult, run_grid, run_spec
 from repro.metrics.perf import RunMetrics
 from repro.scenarios.matrix import Cell
@@ -50,6 +49,8 @@ def check_cell(cell: Cell) -> CellCheck:
     matrix cells and fuzz scenarios are checked to exactly the same
     standard.
     """
+    from repro.analysis.reconcile import sanitized_run
+
     spec = cell.spec if cell.spec.label else cell.spec.with_(label=cell.id)
     metrics, sanitizer, problems = sanitized_run(
         lambda tracer, inspect: run_spec(spec, tracer=tracer, inspect=inspect),

@@ -6,21 +6,18 @@ domain-agnostic: the virtualization model (:mod:`repro.hw`,
 :mod:`repro.host`, :mod:`repro.guest`) is built entirely on top of it.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
-from repro.sim.process import Delay, Process, Signal, WaitSignal
-from repro.sim.rng import RngStreams
-from repro.sim.stats import OnlineStats
-from repro.sim.timebase import (
-    NSEC,
-    USEC,
-    MSEC,
-    SEC,
-    CpuClock,
-    fmt_time,
-    hz_to_period_ns,
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    engine="Simulator",
+    events="Event EventQueue",
+    process="Delay Process Signal WaitSignal",
+    rng="RngStreams",
+    stats="OnlineStats",
+    timebase="NSEC USEC MSEC SEC CpuClock fmt_time hz_to_period_ns",
+    trace="NullTracer RingTracer TraceRecord Tracer",
 )
-from repro.sim.trace import NullTracer, RingTracer, TraceRecord, Tracer
 
 __all__ = [
     "Simulator",

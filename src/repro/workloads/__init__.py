@@ -10,7 +10,9 @@
   future work).
 """
 
-from repro.workloads import fio, micro, netserve, parsec
-from repro.workloads.base import Workload
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__, base="Workload", fio="fio", micro="micro", netserve="netserve", parsec="parsec")
 
 __all__ = ["Workload", "parsec", "fio", "micro", "netserve"]

@@ -9,11 +9,13 @@ horizon), and collects metrics.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.config import IoDeviceKind
-from repro.guest.kernel import GuestKernel
 from repro.guest.task import Task
+
+if TYPE_CHECKING:
+    from repro.guest.kernel import GuestKernel
 
 
 class Workload:

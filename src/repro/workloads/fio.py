@@ -16,13 +16,15 @@ explanation for why "read operations benefit the most from paratick".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 from repro.config import IoDeviceKind
 from repro.errors import WorkloadError
-from repro.guest.kernel import GuestKernel
 from repro.guest.task import BlockRead, BlockWrite, Run, Task
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    from repro.guest.kernel import GuestKernel
 
 #: fio block sizes the paper sweeps (4kB ... 256kB).
 BLOCK_SIZES = (4096, 16384, 65536, 262144)

@@ -10,14 +10,16 @@
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 from repro.errors import WorkloadError
-from repro.guest.kernel import GuestKernel
 from repro.guest.sync import Barrier, CondVar
 from repro.guest.task import BarrierWait, CondSignal, CondWait, Run, Sleep, Task
 from repro.workloads.base import Workload
 from repro.workloads.parsec import NOMINAL_HZ
+
+if TYPE_CHECKING:
+    from repro.guest.kernel import GuestKernel
 
 
 class IdleWorkload(Workload):

@@ -16,13 +16,15 @@ for storage.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 from repro.errors import WorkloadError
-from repro.guest.kernel import GuestKernel
 from repro.guest.task import NetRequest, Run, Task
 from repro.hw.nic import DATACENTER_10G, NicProfile
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    from repro.guest.kernel import GuestKernel
 
 
 class NetServiceWorkload(Workload):

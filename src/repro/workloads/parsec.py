@@ -31,11 +31,10 @@ itself measured by ``benchmarks/bench_ablations.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 from repro.config import IoDeviceKind
 from repro.errors import WorkloadError
-from repro.guest.kernel import GuestKernel
 from repro.guest.sync import Barrier, BoundedQueue, CondVar, Mutex
 from repro.guest.task import (
     BarrierWait,
@@ -51,6 +50,9 @@ from repro.guest.task import (
     Task,
 )
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    from repro.guest.kernel import GuestKernel
 
 #: Nominal guest clock used to convert per-second rates into cycles.
 NOMINAL_HZ = 2_200_000_000
