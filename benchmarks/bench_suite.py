@@ -349,6 +349,54 @@ def bench_cli_warm_matrix() -> dict:
     return _ungated(out, cells, "cells")
 
 
+def bench_table3_sweep() -> dict:
+    """End to end: the full ``python -m repro --jobs 1 table3`` sweep
+    (3 VM sizes x 13 PARSEC benchmarks x tickless/paratick), serial and
+    cold into a temporary cache — the simulator's real cost centre.
+
+    One run; its wall clock is recorded, never gated. ops/sec is
+    dispatched engine events per second. The deterministic counts next
+    to it are gated by ``--check``: total ``exits`` must equal the
+    baseline's (the model's behaviour) and total ``dispatched`` events
+    must not rise (the engine's work per sweep). They are counted
+    around ``Simulator.run`` and ``parallel.run_spec``, which a serial
+    grid calls in this process.
+    """
+    import tempfile
+
+    from repro.experiments import parallel, table3_fig5
+    from repro.sim.engine import Simulator
+
+    counts = {"dispatched": 0, "exits": 0}
+    sim_run, run_spec = Simulator.run, parallel.run_spec
+
+    def counted_run(sim, until=None):
+        before = sim.dispatched
+        try:
+            return sim_run(sim, until)
+        finally:
+            counts["dispatched"] += sim.dispatched - before
+
+    def counted_spec(spec, **hooks):
+        metrics = run_spec(spec, **hooks)
+        counts["exits"] += metrics.exits.total
+        return metrics
+
+    def run() -> int:
+        with tempfile.TemporaryDirectory(prefix="bench-table3-") as cache:
+            table3_fig5.run_all(jobs=1, cache_dir=cache, use_cache=True)
+        return counts["exits"]
+
+    Simulator.run, parallel.run_spec = counted_run, counted_spec
+    try:
+        out = _time_best(run, ops=None, repeats=1)
+    finally:
+        Simulator.run, parallel.run_spec = sim_run, run_spec
+    out["exits"] = counts["exits"]
+    out["count_gates"] = {"exits": "equal", "dispatched": "no_rise"}
+    return _ungated(out, counts["dispatched"], "dispatched")
+
+
 BENCHES: dict[str, Callable[[], dict]] = {
     "event_queue_throughput": bench_event_queue_throughput,
     "rearm_churn": bench_rearm_churn,
@@ -361,6 +409,7 @@ BENCHES: dict[str, Callable[[], dict]] = {
     "ring_tracer_syncstorm": bench_ring_tracer_syncstorm,
     "fleet_host_smoke": bench_fleet_host_smoke,
     "cli_warm_matrix": bench_cli_warm_matrix,
+    "table3_sweep": bench_table3_sweep,
 }
 
 
@@ -411,6 +460,7 @@ def check(fresh: dict, baseline_path: Path, threshold: float) -> list[str]:
         if got is None:
             problems.append(f"{name}: missing from fresh run")
             continue
+        problems += _check_counts(name, want, got)
         base_ops = want.get("ops_per_sec")
         fresh_ops = got.get("ops_per_sec")
         if not base_ops or not fresh_ops:
@@ -429,6 +479,22 @@ def check(fresh: dict, baseline_path: Path, threshold: float) -> list[str]:
                 f"{(1 - ratio) * 100:.1f}% below baseline {base_ops:,.0f} "
                 f"(threshold {threshold * 100:.0f}%)"
             )
+    return problems
+
+
+def _check_counts(name: str, want: dict, got: dict) -> list[str]:
+    """Gate the deterministic counts a bench declares in ``count_gates``:
+    ``equal`` counts must match the baseline, ``no_rise`` counts may
+    only fall."""
+    problems = []
+    for count, rule in want.get("count_gates", {}).items():
+        base_n, fresh_n = want[count], got.get(count)
+        ok = fresh_n == base_n if rule == "equal" else (
+            fresh_n is not None and fresh_n <= base_n)
+        print(f"  {'OK ' if ok else 'FAIL'} {name + '.' + count:<28} {fresh_n!s:>12} "
+              f"(baseline {base_n}, {rule})")
+        if not ok:
+            problems.append(f"{name}: {count} {fresh_n} vs baseline {base_n} ({rule})")
     return problems
 
 
@@ -456,11 +522,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.output}")
     if args.update:
         # Historical annotations (e.g. the pre-rewrite engine numbers)
-        # survive baseline refreshes.
+        # survive baseline refreshes, and with --bench only the named
+        # benches are refreshed.
         if args.baseline.exists():
             prior = json.loads(args.baseline.read_text())
             if "reference" in prior:
                 fresh["reference"] = prior["reference"]
+            if args.bench and prior.get("schema") == SCHEMA:
+                fresh["benches"] = {**prior["benches"], **fresh["benches"]}
         args.baseline.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
         print(f"wrote baseline {args.baseline}")
         return 0

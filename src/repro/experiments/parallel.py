@@ -930,7 +930,8 @@ def run_grid(
 
     def tel_settle(spec: RunSpec, status: str, duration_ns: Optional[int]) -> None:
         """One settled-cell record: counter + wall histogram."""
-        assert tel is not None
+        if tel is None:
+            raise GridError("settle record for telemetry that is not attached")
         tel.counter("cells", help="grid cells settled by status", status=status)
         if duration_ns is not None:
             tel.observe("shard_wall_ns", duration_ns,

@@ -36,6 +36,23 @@ from repro.hw.iodev import IoRequest
 K = CycleDomain.GUEST_KERNEL
 U = CycleDomain.GUEST_USER
 
+# Bound once: on CPython 3.11 each ``Enum.X`` read goes through the Enum
+# metaclass and costs several times a global lookup.
+_LOCAL_TIMER = Vector.LOCAL_TIMER
+_VIRTUAL_TICK = Vector.PARATICK_VIRTUAL_TICK
+_RESCHEDULE = Vector.RESCHEDULE
+_BLOCK_IO = Vector.BLOCK_IO
+_NET_IO = Vector.NET_IO
+
+_Compute = gops.Compute
+_Hlt = gops.Hlt
+_Run = tsk.Run
+_PageFault = tsk.PageFault
+#: Builds a ``Compute`` without its ``__init__`` checks, for kernel work
+#: whose cycles come from the validated cost model or a validated
+#: ``Run``; it sits on the per-syscall path.
+_new_op = object.__new__
+
 PAGE = 4096
 
 #: Safety bound on scheduler/idle-loop passes within one ``next_op`` call.
@@ -110,6 +127,27 @@ class GuestKernel:
         else:
             self.cpuidle_governor = None
         self.policy = make_policy(self)
+        c = self.costs
+        wait, wake, syscall = c.guest_futex_wait, c.guest_futex_wake, c.guest_syscall
+        io_submit, per_page = syscall + c.guest_io_submit, c.guest_io_per_page
+        #: Task-op class -> (kernel cycles, cycles per 4 KiB page of
+        #: ``op.size``, effect(vidx, task, op)): the syscall each blocking
+        #: task op compiles to. ``Run`` and ``PageFault`` compile to no
+        #: syscall and are handled in :meth:`_advance_task` itself.
+        self._syscalls = {
+            tsk.Sleep: (syscall + c.guest_hrtimer_soft, 0, self._do_sleep),
+            tsk.BlockRead: (io_submit, per_page, self._do_block_io),
+            tsk.BlockWrite: (io_submit, per_page, self._do_block_io),
+            tsk.NetRequest: (syscall + c.guest_io_submit // 2, per_page, self._do_net_request),
+            tsk.MutexLock: (wait, 0, self._do_lock),
+            tsk.MutexUnlock: (wake, 0, self._do_unlock),
+            tsk.BarrierWait: (wait, 0, self._do_barrier),
+            tsk.CondWait: (wait, 0, self._do_cond_wait),
+            tsk.CondSignal: (wake, 0, self._do_cond_signal),
+            tsk.QueuePut: (wake, 0, self._do_queue_put),
+            tsk.QueueGet: (wait, 0, self._do_queue_get),
+            tsk.YieldCpu: (syscall, 0, self._do_yield),
+        }
         vm.attach_kernel(self)
         for vidx in range(self.nvcpus):
             # §5.2.1: high-resolution timers, and with them the final
@@ -241,15 +279,28 @@ class GuestKernel:
 
     def _push_call(self, vidx: int, cycles: int, fn: Callable[..., None], *args) -> None:
         """Queue ``cycles`` of kernel work for vidx that ends in ``fn(*args)``
-        (run as :meth:`_as_vcpu` runs it)."""
-        self.push(vidx, gops.Compute(cycles, K, on_done=partial(self._as_vcpu, vidx, fn, *args)))
+        (run as :meth:`_as_vcpu` runs it), where :meth:`push` would."""
+        op = _new_op(_Compute)
+        op.cycles = cycles
+        op.domain = K
+        op.on_done = partial(self._as_vcpu, vidx, fn, *args)
+        if self._push_sink is not None and vidx == self._active_vidx:
+            self._push_sink.append(op)
+        else:
+            self._ctx[vidx].ops.append(op)
 
     # =================================================================
     # Executor-facing interface
     # =================================================================
 
     def next_op(self, vidx: int):
-        """Produce the next primitive op for a vCPU (see module docstring)."""
+        """Produce the next primitive op for a vCPU (see module docstring).
+
+        The executor pops ready ops from :attr:`VcpuCtx.ops` itself and
+        calls this only when that deque is empty or starts with a
+        ``Hlt``, so the sti;hlt guard below is the one place a queued
+        ``Hlt`` is checked against runnable work.
+        """
         ctx = self._ctx[vidx]
         ops = ctx.ops
         sched = self.sched
@@ -260,7 +311,7 @@ class GuestKernel:
                 # Linux's sti;hlt race guard: a wakeup arrived between the
                 # idle-entry decision and the HLT — re-run the idle loop
                 # instead of halting with runnable work (a lost wakeup).
-                if op.__class__ is not gops.Hlt or not sched.has_work(vidx):
+                if op.__class__ is not _Hlt or not sched.has_work(vidx):
                     return op
             if self._stopped:
                 return None
@@ -311,14 +362,14 @@ class GuestKernel:
                 if eoi_trapped:
                     # Pre-APICv host: the handler's EOI write traps.
                     seq.append(self.hv.timerhw.guest_eoi_op(vector))
-                if vector is Vector.LOCAL_TIMER:
+                if vector is _LOCAL_TIMER:
                     ctx.armed_deadline_ns = None  # the hardware deadline fired
                     self.policy.on_timer_irq(vidx)
-                elif vector is Vector.PARATICK_VIRTUAL_TICK:
+                elif vector is _VIRTUAL_TICK:
                     self.policy.on_virtual_tick(vidx)
-                elif vector is Vector.RESCHEDULE:
+                elif vector is _RESCHEDULE:
                     ctx.need_resched = True
-                elif vector is Vector.BLOCK_IO or vector is Vector.NET_IO:
+                elif vector is _BLOCK_IO or vector is _NET_IO:
                     self._push_call(vidx, self.costs.guest_io_complete, self._drain_io_done, vidx)
                 # Unknown vectors: spurious; glue cost only.
         finally:
@@ -421,6 +472,13 @@ class GuestKernel:
     # =================================================================
 
     def _advance_task(self, vidx: int, task: Task) -> None:
+        """Resume ``task`` and queue the ops its next task op compiles to.
+
+        One dispatch on the op's class: ``Run`` becomes user compute,
+        ``PageFault`` a run of ``Fault`` exits, and every other op the
+        kernel work of its syscall (:attr:`_syscalls`), whose effect runs
+        when that work completes.
+        """
         if task.started_ns is None:
             task.started_ns = self.now()
         value, task.pending_value = task.pending_value, None
@@ -431,46 +489,27 @@ class GuestKernel:
             self.sched.finish_current(vidx)
             self.push(vidx, gops.Compute(self.costs.guest_sched_switch, K))
             return
-        self._translate(vidx, task, top)
-
-    def _translate(self, vidx: int, task: Task, top: tsk.TaskOp) -> None:
-        c = self.costs
-        call = self._push_call
-        if isinstance(top, tsk.Run):
-            self.push(vidx, gops.Compute(top.cycles, U))
-        elif isinstance(top, tsk.Sleep):
-            cycles = c.guest_syscall + c.guest_hrtimer_soft
-            call(vidx, cycles, self._do_sleep, vidx, task, top.ns, top.precise)
-        elif isinstance(top, (tsk.BlockRead, tsk.BlockWrite)):
-            op = "read" if isinstance(top, tsk.BlockRead) else "write"
-            pages = max(1, -(-top.size // PAGE))
-            cycles = c.guest_syscall + c.guest_io_submit + pages * c.guest_io_per_page
-            call(vidx, cycles, self._do_block_io, vidx, task, op, top.size, top.offset)
-        elif isinstance(top, tsk.NetRequest):
-            pages = max(1, -(-top.size // PAGE))
-            cycles = c.guest_syscall + c.guest_io_submit // 2 + pages * c.guest_io_per_page
-            call(vidx, cycles, self._do_net_request, vidx, task, top.size)
-        elif isinstance(top, tsk.MutexLock):
-            call(vidx, c.guest_futex_wait, self._do_lock, vidx, task, top.mutex)
-        elif isinstance(top, tsk.MutexUnlock):
-            call(vidx, c.guest_futex_wake, self._do_unlock, vidx, task, top.mutex)
-        elif isinstance(top, tsk.BarrierWait):
-            call(vidx, c.guest_futex_wait, self._do_barrier, vidx, task, top.barrier)
-        elif isinstance(top, tsk.CondWait):
-            call(vidx, c.guest_futex_wait, self._do_cond_wait, vidx, task, top.cond)
-        elif isinstance(top, tsk.CondSignal):
-            call(vidx, c.guest_futex_wake, self._do_cond_signal, vidx, top.cond, top.n)
-        elif isinstance(top, tsk.QueuePut):
-            call(vidx, c.guest_futex_wake, self._do_queue_put, vidx, task, top.queue, top.item)
-        elif isinstance(top, tsk.QueueGet):
-            call(vidx, c.guest_futex_wait, self._do_queue_get, vidx, task, top.queue)
-        elif isinstance(top, tsk.PageFault):
+        cls = top.__class__
+        if cls is _Run:
+            # Straight onto the deque: next_op never runs under an IRQ
+            # push sink, so this is where push() would put it.
+            op = _new_op(_Compute)
+            op.cycles = top.cycles
+            op.domain = U
+            op.on_done = None
+            self._ctx[vidx].ops.append(op)
+            return
+        if cls is _PageFault:
             for _ in range(top.count):
                 self.push(vidx, gops.Fault())
-        elif isinstance(top, tsk.YieldCpu):
-            call(vidx, c.guest_syscall, self._do_yield, vidx)
-        else:
+            return
+        syscall = self._syscalls.get(cls)
+        if syscall is None:
             raise GuestError(f"task {task.name} yielded unknown op {top!r}")
+        cycles, per_page, effect = syscall
+        if per_page:
+            cycles += max(1, -(-top.size // PAGE)) * per_page
+        self._push_call(vidx, cycles, effect, vidx, task, top)
 
     # ------------------------------------------------------ blocking actions
 
@@ -480,13 +519,14 @@ class GuestKernel:
         self.rcu.note_quiescent_state(vidx)
         return self.sched.block_current(vidx, reason)
 
-    def _do_yield(self, vidx: int) -> None:
+    def _do_yield(self, vidx: int, task: Task, top: tsk.YieldCpu) -> None:
         self._ctx[vidx].need_resched = True
 
-    def _do_sleep(self, vidx: int, task: Task, ns: int, precise: bool) -> None:
+    def _do_sleep(self, vidx: int, task: Task, top: tsk.Sleep) -> None:
+        ns = top.ns
         self.rcu.note_update_op(vidx)
         self._block(vidx, "sleep")
-        if precise and self.tick_mode is not TickMode.PERIODIC:
+        if top.precise and self.tick_mode is not TickMode.PERIODIC:
             # nanosleep: an hrtimer with a hardware deadline. (Classic
             # periodic kernels run low-resolution timers: nanosleep
             # degrades to jiffy granularity, hence the wheel fallback.)
@@ -509,9 +549,11 @@ class GuestKernel:
         else:
             self.reprogram_hw(vidx)
 
-    def _do_block_io(self, vidx: int, task: Task, op: str, size: int, offset: Optional[int]) -> None:
+    def _do_block_io(self, vidx: int, task: Task, top: tsk.BlockRead | tsk.BlockWrite) -> None:
         if self.block_device is None:
             raise GuestError(f"VM {self.vm.name}: block I/O without a device")
+        op = "read" if top.__class__ is tsk.BlockRead else "write"
+        size, offset = top.size, top.offset
         self.rcu.note_update_op(vidx)
         if offset is None:
             key = (task.affinity, op)
@@ -521,26 +563,28 @@ class GuestKernel:
         self._block(vidx, "block-io")
         self.push(vidx, gops.IoKick(self.block_device, req))
 
-    def _do_net_request(self, vidx: int, task: Task, size: int) -> None:
+    def _do_net_request(self, vidx: int, task: Task, top: tsk.NetRequest) -> None:
         if self.nic is None:
             raise GuestError(f"VM {self.vm.name}: network I/O without a NIC")
         self.rcu.note_update_op(vidx)
-        req = IoRequest("read", 0, size, cookie=task)
+        req = IoRequest("read", 0, top.size, cookie=task)
         self._block(vidx, "net-rpc")
         self.push(vidx, gops.IoKick(self.nic, req))
 
-    def _do_lock(self, vidx: int, task: Task, mutex) -> None:
+    def _do_lock(self, vidx: int, task: Task, top: tsk.MutexLock) -> None:
+        mutex = top.mutex
         self.rcu.note_update_op(vidx)
         if not mutex.try_lock(task):
             self._block(vidx, f"mutex:{mutex.name}")
 
-    def _do_unlock(self, vidx: int, task: Task, mutex) -> None:
+    def _do_unlock(self, vidx: int, task: Task, top: tsk.MutexUnlock) -> None:
         self.rcu.note_update_op(vidx)
-        woken = mutex.unlock(task)
+        woken = top.mutex.unlock(task)
         if woken is not None:
             self.sched.wake(woken)
 
-    def _do_barrier(self, vidx: int, task: Task, barrier) -> None:
+    def _do_barrier(self, vidx: int, task: Task, top: tsk.BarrierWait) -> None:
+        barrier = top.barrier
         self.rcu.note_update_op(vidx)
         woken = barrier.arrive(task)
         if woken:
@@ -549,25 +593,28 @@ class GuestKernel:
         else:
             self._block(vidx, f"barrier:{barrier.name}")
 
-    def _do_cond_wait(self, vidx: int, task: Task, cond) -> None:
+    def _do_cond_wait(self, vidx: int, task: Task, top: tsk.CondWait) -> None:
+        cond = top.cond
         self.rcu.note_update_op(vidx)
         if cond.wait(task):
             self._block(vidx, f"cond:{cond.name}")
 
-    def _do_cond_signal(self, vidx: int, cond, n: int) -> None:
+    def _do_cond_signal(self, vidx: int, task: Task, top: tsk.CondSignal) -> None:
         self.rcu.note_update_op(vidx)
-        for t in cond.take(n):
+        for t in top.cond.take(top.n):
             self.sched.wake(t)
 
-    def _do_queue_put(self, vidx: int, task: Task, queue, item) -> None:
+    def _do_queue_put(self, vidx: int, task: Task, top: tsk.QueuePut) -> None:
+        queue = top.queue
         self.rcu.note_update_op(vidx)
-        blocked, consumer = queue.put(task, item)
+        blocked, consumer = queue.put(task, top.item)
         if consumer is not None:
             self.sched.wake(consumer)
         if blocked:
             self._block(vidx, f"queue-full:{queue.name}")
 
-    def _do_queue_get(self, vidx: int, task: Task, queue) -> None:
+    def _do_queue_get(self, vidx: int, task: Task, top: tsk.QueueGet) -> None:
+        queue = top.queue
         self.rcu.note_update_op(vidx)
         blocked, item, producer = queue.get(task)
         if producer is not None:
@@ -602,7 +649,7 @@ class GuestKernel:
         # Cross-vCPU wake: the waker sends a reschedule IPI (a trapped
         # ICR/SGI write -> a VM exit on the waker; delivery cost lands on
         # the target).
-        self.push(src, self.hv.timerhw.guest_ipi_op(target_vidx, Vector.RESCHEDULE))
+        self.push(src, self.hv.timerhw.guest_ipi_op(target_vidx, _RESCHEDULE))
 
     def _task_done(self, task: Task) -> None:
         task.finished_ns = self.now()

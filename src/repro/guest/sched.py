@@ -20,6 +20,13 @@ from typing import Callable, Optional
 from repro.errors import GuestError
 from repro.guest.task import Task, TaskState
 
+# Bound once: on CPython 3.11 each ``TaskState.X`` read goes through the
+# Enum metaclass and costs several times a global lookup.
+_RUNNABLE = TaskState.RUNNABLE
+_RUNNING = TaskState.RUNNING
+_BLOCKED = TaskState.BLOCKED
+_DONE = TaskState.DONE
+
 
 class RunQueue:
     """FIFO run queue of one vCPU."""
@@ -86,7 +93,7 @@ class GuestScheduler:
         if not 0 <= task.affinity < self.nvcpus:
             raise GuestError(f"{task!r}: affinity outside VM ({self.nvcpus} vCPUs)")
         self.tasks.append(task)
-        task.state = TaskState.RUNNABLE
+        task.state = _RUNNABLE
         self._queues[task.affinity].push(task)
 
     # -------------------------------------------------------------- queries
@@ -102,7 +109,7 @@ class GuestScheduler:
         return self._current[vcpu_index] is not None or len(self._queues[vcpu_index]) > 0
 
     def alive_tasks(self) -> int:
-        return sum(1 for t in self.tasks if t.state is not TaskState.DONE)
+        return sum(1 for t in self.tasks if t.state is not _DONE)
 
     # ---------------------------------------------------------- transitions
 
@@ -112,7 +119,7 @@ class GuestScheduler:
             raise GuestError(f"vCPU{vcpu_index}: pick_next with a task still current")
         task = self._queues[vcpu_index].pop()
         if task is not None:
-            task.state = TaskState.RUNNING
+            task.state = _RUNNING
             self._current[vcpu_index] = task
             self.switches[vcpu_index] += 1
         return task
@@ -123,7 +130,7 @@ class GuestScheduler:
         if task is None:
             return
         self._current[vcpu_index] = None
-        task.state = TaskState.RUNNABLE
+        task.state = _RUNNABLE
         self._queues[vcpu_index].push(task)
 
     def block_current(self, vcpu_index: int, reason: str) -> Task:
@@ -132,17 +139,17 @@ class GuestScheduler:
         if task is None:
             raise GuestError(f"vCPU{vcpu_index}: block with no running task")
         self._current[vcpu_index] = None
-        task.state = TaskState.BLOCKED
+        task.state = _BLOCKED
         task.wait_reason = reason
         return task
 
     def wake(self, task: Task) -> None:
         """Make a blocked task runnable and poke its vCPU."""
-        if task.state is TaskState.DONE:
+        if task.state is _DONE:
             return
-        if task.state is not TaskState.BLOCKED:
+        if task.state is not _BLOCKED:
             raise GuestError(f"waking {task!r} which is not blocked")
-        task.state = TaskState.RUNNABLE
+        task.state = _RUNNABLE
         task.wait_reason = None
         self._queues[task.affinity].push(task)
         self._notify_resched(task.affinity)
@@ -153,6 +160,6 @@ class GuestScheduler:
         if task is None:
             raise GuestError(f"vCPU{vcpu_index}: finish with no running task")
         self._current[vcpu_index] = None
-        task.state = TaskState.DONE
+        task.state = _DONE
         self._on_task_done(task)
         return task

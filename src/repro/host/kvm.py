@@ -28,6 +28,7 @@ its remainder is re-queued at the front of the guest op stream.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional
 
 from repro.config import HostFeatures, VmSpec
@@ -57,12 +58,28 @@ _MAX_OP_CHAIN = 100_000
 # Enum members read on every VM exit and entry, bound once: on CPython
 # 3.11 each ``VcpuState.X`` read goes through the Enum metaclass and
 # costs several times a global lookup.
-_PARKED = (VcpuState.SUSPENDED, VcpuState.OFF)
 _GUEST = VcpuState.GUEST
 _EXITED = VcpuState.EXITED
+_HALTED = VcpuState.HALTED
+_READY = VcpuState.READY
+_OFF = VcpuState.OFF
+_PARKED = (VcpuState.SUSPENDED, _OFF)
 _VMX = CycleDomain.VMX_TRANSITION
 _POLLUTION = CycleDomain.POLLUTION
 _HANDLER = CycleDomain.HOST_HANDLER
+_HALT_POLL = CycleDomain.HALT_POLL
+_HOST_SCHED = CycleDomain.HOST_SCHED
+_EXTERNAL_INTERRUPT = ExitReason.EXTERNAL_INTERRUPT
+_TIMER_GUEST_TICK = ExitTag.TIMER_GUEST_TICK
+_IPI = ExitTag.IPI
+_HLT = ExitReason.HLT
+_IDLE = ExitTag.IDLE
+_TIMER_HOST_TICK = ExitTag.TIMER_HOST_TICK
+_LOCAL_TIMER = Vector.LOCAL_TIMER
+_VIRTUAL_TICK = Vector.PARATICK_VIRTUAL_TICK
+_Compute = gops.Compute
+_Hlt = gops.Hlt
+_Pause = gops.Pause
 
 
 class _CycleNs(dict):
@@ -208,7 +225,7 @@ class Hypervisor:
             raise HostError(f"VM {vm.name}: IPI to unknown vCPU {dest_index}")
         dest = vm.vcpus[dest_index]
         cross = not self.machine.same_socket(src.pcpu.index, dest.pcpu.index)
-        dest.exec.deliver(vector, ExitTag.IPI, cross_socket=cross)
+        dest.exec.deliver(vector, _IPI, cross_socket=cross)
 
     def deliver_device_irq(self, vm: VirtualMachine, vcpu_index: int, vector: Vector) -> None:
         """Inject a device completion interrupt into a vCPU."""
@@ -261,7 +278,7 @@ class Hypervisor:
     def _host_tick(self, pcpu_index: int) -> None:
         self._host_tick_events[pcpu_index] = None
         vcpu = self.sched.running_on(pcpu_index)
-        if vcpu is None or vcpu.state in (VcpuState.HALTED, VcpuState.OFF):
+        if vcpu is None or vcpu.state is _HALTED or vcpu.state is _OFF:
             return  # CPU idle: host is tickless, chain stops until next dispatch
         period = self.machine.spec.host_tick_period_ns
         self._host_tick_events[pcpu_index] = self.sim.schedule(period, self._host_tick, pcpu_index)
@@ -434,6 +451,10 @@ class _VcpuExec:
         "_exit_hw_ns",
         "_pollution_ns",
         "preempt_timer",
+        "_ops",
+        "_account",
+        "_try_advance",
+        "_ns_per_cycle",
         "_cur_op",
         "_cur_start",
         "_cur_dur",
@@ -447,6 +468,7 @@ class _VcpuExec:
         "_frozen_from",
         "_frozen_hostdl",
         "_frozen_vlapic_left",
+        "_epoch",
         "timerhw_state",
     )
 
@@ -461,6 +483,15 @@ class _VcpuExec:
         self._exit_hw_ns = self._ns[self.costs.vmexit_hw]
         self._pollution_ns = self._ns[self.costs.pollution]
         self.preempt_timer = PreemptionTimer(hv.sim, self._on_preempt_timer, name=vcpu.trace_src)
+        #: The guest kernel's op deque for this vCPU (bound at start).
+        self._ops = None
+        #: Bound once: ``_next_op`` runs on every event of this vCPU.
+        self._account = vcpu.pcpu.account
+        self._try_advance = hv.sim.try_advance
+        #: ns per cycle as a reduced fraction (5/11 at 2.2 GHz), so an
+        #: op's ceil(cycles * SEC / freq) multiplies small ints.
+        g = gcd(SEC, self.clock.freq_hz)
+        self._ns_per_cycle = (SEC // g, self.clock.freq_hz // g)
         self._cur_op: Optional[gops.Compute] = None
         self._cur_start = 0
         self._cur_dur = 0
@@ -482,6 +513,10 @@ class _VcpuExec:
         self._frozen_hostdl = False
         #: Remaining ns of the paused vLAPIC period at freeze, if any.
         self._frozen_vlapic_left: Optional[int] = None
+        #: Bumped by every freeze. Exit and entry continuations carry the
+        #: epoch they were scheduled in and park when it is stale, so one
+        #: still in flight at resume cannot run beside the resumed entry.
+        self._epoch = 0
         #: Backend-owned host-side timer register state (lazily created
         #: by the arch's TimerHardware.decode; None on x86).
         self.timerhw_state = None
@@ -499,6 +534,7 @@ class _VcpuExec:
         """Make the vCPU runnable for the first time."""
         if self.vcpu.state is not VcpuState.INIT:
             raise HostError(f"{self.vcpu!r} started twice")
+        self._ops = self.vm.kernel.ctx(self.vcpu.index).ops
         self.vcpu.state = VcpuState.EXITED
         if self.hv.sched.acquire(self.vcpu):
             self._enter_guest()
@@ -537,16 +573,17 @@ class _VcpuExec:
         The vCPU's pCPU claim is *forgotten* (not released — the owning
         :meth:`Hypervisor.suspend_vm` re-grants idle CPUs afterwards),
         every timer standing in for the guest pauses, and in-flight
-        exit/entry continuations are parked by the suspend guards when
-        they land. READY waits and halt spans in progress are closed at
-        the freeze edge: the suspended span is host time, never guest
-        steal or idle time.
+        exit/entry continuations park when they land — also when the VM
+        resumed first, since the resume starts a fresh entry. READY
+        waits and halt spans in progress are closed at the freeze edge:
+        the suspended span is host time, never guest steal or idle time.
         """
         vcpu = self.vcpu
         st = vcpu.state
         if st in (VcpuState.OFF, VcpuState.INIT, VcpuState.SUSPENDED):
             return
         now = self.sim.now
+        self._epoch += 1
         self._frozen_from = st
         if self._vlapic is not None:
             self._frozen_vlapic_left = self._vlapic.pause()
@@ -572,7 +609,7 @@ class _VcpuExec:
             vcpu.total_steal_ns += now - vcpu.ready_since_ns
             vcpu.steal_episodes += 1
         # EXITED: a continuation (entry, exit work, halt) is in flight;
-        # the suspend guards park it when it fires inside the span.
+        # the epoch bump above parks it whenever it fires.
         self.hv.sched.forget(vcpu)
         vcpu.state = VcpuState.SUSPENDED
 
@@ -617,7 +654,8 @@ class _VcpuExec:
         vcpu = self.vcpu
         if vcpu.state in _PARKED:
             return  # parked by a VM suspend (or torn down) mid-transition
-        self._cancel_host_deadline()
+        if self._host_deadline_event is not None:
+            self._cancel_host_deadline()
         self.hv.ensure_host_tick(vcpu.pcpu.index)
         # Paratick host hook (Fig. 2): runs on every VM entry.
         if self.vm.paratick_enabled:
@@ -627,7 +665,7 @@ class _VcpuExec:
                 # will act as a tick.
                 vcpu.last_virtual_tick_ns = now
             elif now - vcpu.last_virtual_tick_ns >= self.vm.paratick_period_ns:
-                if vcpu.post_irq(Vector.PARATICK_VIRTUAL_TICK):
+                if vcpu.post_irq(_VIRTUAL_TICK):
                     self.vm.virtual_ticks_injected += 1
                 vcpu.last_virtual_tick_ns = now
         vectors = vcpu.drain_irqs()
@@ -638,13 +676,20 @@ class _VcpuExec:
         c = self.costs
         entry_ns = self._ns[c.vmentry_hw + c.inject_irq * len(vectors)]
         pollution_ns = self._pollution_ns
-        self.sim.schedule(entry_ns + pollution_ns, self._entered, vectors, entry_ns, pollution_ns)
+        self.sim.schedule(
+            entry_ns + pollution_ns, self._entered, vectors, entry_ns, pollution_ns, self._epoch
+        )
 
-    def _entered(self, vectors: tuple, entry_ns: int, pollution_ns: int) -> None:
+    def _scheduled_entry(self, epoch: int) -> None:
+        """Entry after dispatch or wake work; a freeze since parks it."""
+        if epoch == self._epoch:
+            self._enter_guest()
+
+    def _entered(self, vectors: tuple, entry_ns: int, pollution_ns: int, epoch: int) -> None:
         vcpu = self.vcpu
         vcpu.pcpu.account(_VMX, entry_ns)
         vcpu.pcpu.account(_POLLUTION, pollution_ns)
-        if vcpu.state in _PARKED:
+        if vcpu.state in _PARKED or epoch != self._epoch:
             # Frozen mid-entry: the drained vectors go back to pending so
             # the post-resume entry injects them again.
             for v in vectors:
@@ -670,17 +715,46 @@ class _VcpuExec:
 
     # ----------------------------------------------------------- op stream
 
-    def _next_op(self) -> None:
-        kernel = self.vm.kernel
-        vidx = self.vcpu.index
+    def _next_op(self, done: Optional[gops.Compute] = None) -> None:
+        """Finish ``done``, if given, then run the guest op stream until
+        an op must wait for the clock.
+
+        Either the completion event of the in-flight ``Compute``
+        ``done`` or the tail call of :meth:`_entered` — an event
+        callback either way, with nothing run after it returns. That is
+        what makes *run-ahead* exact: a ``Compute`` whose end
+        :meth:`Simulator.try_advance` grants would have been the next
+        event dispatched, so it is accounted and finished inline, and
+        the loop carries on with the next op (DESIGN.md, "Run-ahead").
+        Ready ops are popped from the kernel's per-vCPU deque directly;
+        ``kernel.next_op`` runs only when the deque is empty or its head
+        is a ``Hlt`` (the sti;hlt guard lives there).
+        """
+        account = self._account
+        if done is not None:
+            # The event fired exactly _cur_dur after _cur_start (only
+            # ever cancelled, never moved).
+            account(done.domain, self._cur_dur)
+            self._cur_op = self._cur_event = None
+            if done.on_done is not None:
+                done.on_done()
+        ops = self._ops
+        sim = self.sim
+        try_advance = self._try_advance
+        ns_num, ns_den = self._ns_per_cycle
+        # Only a granted advance moves the clock while this loop runs.
+        now = sim.now
         chain = 0
         while True:
-            op = kernel.next_op(vidx)
+            if ops and ops[0].__class__ is not _Hlt:
+                op = ops.popleft()
+            else:
+                op = self.vm.kernel.next_op(self.vcpu.index)
             cls = op.__class__
-            if cls is gops.Pause and not self.hv.features.ple:
+            if cls is _Pause and not self.hv.features.ple:
                 # Without pause-loop exiting, spinning is just compute.
-                op, cls = gops.Compute(op.cycles, CycleDomain.GUEST_KERNEL), gops.Compute
-            if cls is gops.Compute:
+                op, cls = gops.Compute(op.cycles, CycleDomain.GUEST_KERNEL), _Compute
+            if cls is _Compute:
                 cycles = op.cycles
                 if cycles == 0:
                     if op.on_done is not None:
@@ -689,27 +763,26 @@ class _VcpuExec:
                     if chain == _MAX_OP_CHAIN:
                         raise HostError(f"{self.vcpu!r}: guest op stream made no progress")
                     continue
-                self._cur_op = op
-                self._cur_start = self.sim.now
                 # CpuClock.cycles_to_ns inlined (cycles > 0): one ceil per op.
-                self._cur_dur = dur = -(-cycles * SEC // self.clock.freq_hz)
-                self._cur_event = self.sim.schedule(dur, self._compute_done)
+                dur = -(-cycles * ns_num // ns_den)
+                end = now + dur
+                if try_advance(end):
+                    now = end
+                    account(op.domain, dur)
+                    if op.on_done is not None:
+                        op.on_done()
+                    chain = 0
+                    continue
+                self._cur_op = op
+                self._cur_start = now
+                self._cur_dur = dur
+                self._cur_event = sim.at(end, self._next_op, op)
                 return
             if op is None:
                 self.shutdown()
                 return
             self._sync_exit(op)
             return
-
-    def _compute_done(self) -> None:
-        op = self._cur_op
-        # The event fired exactly _cur_dur after _cur_start (only ever
-        # cancelled, never moved).
-        self.vcpu.pcpu.account(op.domain, self._cur_dur)
-        self._cur_op = self._cur_event = None
-        if op.on_done is not None:
-            op.on_done()
-        self._next_op()
 
     def _cancel_cur(self) -> None:
         """Truncate an in-flight compute: account elapsed, re-queue rest."""
@@ -743,8 +816,8 @@ class _VcpuExec:
         decoded = self.hv.timerhw.decode(self, op)
         if decoded is not None:
             self._begin_exit(*decoded)
-        elif isinstance(op, gops.Hlt):
-            self._begin_exit(ExitReason.HLT, ExitTag.IDLE, c.handler_hlt, None, then=self._halt)
+        elif op.__class__ is _Hlt:
+            self._begin_exit(_HLT, _IDLE, c.handler_hlt, None, then=self._halt)
         elif isinstance(op, gops.IoKick):
             self._begin_exit(
                 ExitReason.IO_INSTRUCTION,
@@ -784,16 +857,17 @@ class _VcpuExec:
         exit_hw_ns = self._exit_hw_ns
         handler_ns = self._ns[handler_cycles]
         self.sim.schedule(
-            exit_hw_ns + handler_ns, self._exit_work_done, exit_hw_ns, handler_ns, effect, then
+            exit_hw_ns + handler_ns,
+            self._exit_work_done, exit_hw_ns, handler_ns, effect, then, self._epoch,
         )
 
-    def _exit_work_done(self, exit_hw_ns, handler_ns, effect, then) -> None:
+    def _exit_work_done(self, exit_hw_ns, handler_ns, effect, then, epoch) -> None:
         pcpu = self.vcpu.pcpu
         pcpu.account(_VMX, exit_hw_ns)
         pcpu.account(_HANDLER, handler_ns)
         if effect is not None:
             effect()
-        if self.vcpu.state in _PARKED:
+        if self.vcpu.state in _PARKED or epoch != self._epoch:
             # Shut down by the effect, or frozen by a VM suspend while
             # the handler ran: the hypervisor-side effect still retired,
             # but the continuation parks until resume (or forever).
@@ -846,7 +920,7 @@ class _VcpuExec:
             self._frozen_vlapic_left = self._vlapic.pause()
 
     def _vlapic_deliver(self, vector: Vector) -> None:
-        self.deliver(vector, ExitTag.TIMER_GUEST_TICK)
+        self.deliver(vector, _TIMER_GUEST_TICK)
 
     def _submit_io(self, op: gops.IoKick) -> None:
         op.request.cookie = (self.vcpu.index, op.request.cookie)
@@ -856,7 +930,7 @@ class _VcpuExec:
 
     def _halt(self) -> None:
         """HLT continuation: poll (optionally), then block."""
-        if self.vcpu.state in (VcpuState.SUSPENDED, VcpuState.OFF):
+        if self.vcpu.state in _PARKED:
             return  # frozen/torn down while the HLT exit was processing
         if self.vcpu.pending_irqs:
             # An interrupt arrived during exit processing: do not block.
@@ -872,13 +946,13 @@ class _VcpuExec:
     def _poll_timeout(self) -> None:
         self._polling = False
         self._poll_event = None
-        self.vcpu.pcpu.account(CycleDomain.HALT_POLL, self.sim.now - self._poll_start)
+        self.vcpu.pcpu.account(_HALT_POLL, self.sim.now - self._poll_start)
         self._block()
 
     def _block(self) -> None:
         vcpu = self.vcpu
         block_ns = self._ns[self.costs.block_vcpu]
-        vcpu.state = VcpuState.HALTED
+        vcpu.state = _HALTED
         vcpu.halted_since_ns = self.sim.now
         self._arm_host_deadline()
         nxt = self.hv.sched.release(vcpu)
@@ -917,7 +991,7 @@ class _VcpuExec:
         if self.sim.trace.enabled:
             self._trace("hostdl_fire")
             self._trace("deadline_fire", (deadline, "host"))
-        self.deliver(Vector.LOCAL_TIMER, ExitTag.TIMER_GUEST_TICK)
+        self.deliver(_LOCAL_TIMER, _TIMER_GUEST_TICK)
 
     def dispatch(self, *, extra_ns: int = 0) -> None:
         """The host scheduler gave us the CPU (overcommit path).
@@ -931,19 +1005,19 @@ class _VcpuExec:
         KVM feeds the guest's steal-time MSR.
         """
         vcpu = self.vcpu
-        if vcpu.state is not VcpuState.READY:
+        if vcpu.state is not _READY:
             raise HostError(f"dispatch of {vcpu!r} in state {vcpu.state}")
         stolen_ns = self.sim.now - vcpu.ready_since_ns
         vcpu.total_steal_ns += stolen_ns
         vcpu.steal_episodes += 1
         if self.sim.trace.enabled:
             self._trace("sched_dispatch", (vcpu.pcpu.index, stolen_ns))
-        vcpu.state = VcpuState.EXITED
+        vcpu.state = _EXITED
         ctx_ns = self._ns[self.costs.ctx_switch]
         ctx_ns += extra_ns + self._pending_sched_ns
         self._pending_sched_ns = 0
-        self.vcpu.pcpu.account(CycleDomain.HOST_SCHED, ctx_ns)
-        self.sim.schedule(ctx_ns, self._enter_guest)
+        self.vcpu.pcpu.account(_HOST_SCHED, ctx_ns)
+        self.sim.schedule(ctx_ns, self._scheduled_entry, self._epoch)
 
     # ----------------------------------------------------- async interrupts
 
@@ -951,18 +1025,18 @@ class _VcpuExec:
         """An interrupt for this vCPU arrived (device, IPI or stand-in timer)."""
         vcpu = self.vcpu
         state = vcpu.state
-        if state is VcpuState.OFF:
+        if state is _OFF:
             return
         vcpu.post_irq(vector)
-        if state is VcpuState.GUEST:
+        if state is _GUEST:
             # Forces an external-interrupt exit; injected on re-entry.
             self._cancel_cur()
             self._begin_exit(
-                ExitReason.EXTERNAL_INTERRUPT, tag, self.costs.handler_external_interrupt, None
+                _EXTERNAL_INTERRUPT, tag, self.costs.handler_external_interrupt, None
             )
-        elif state is VcpuState.HALTED:
+        elif state is _HALTED:
             self._wake(cross_socket=cross_socket)
-        elif state is VcpuState.EXITED and self._polling:
+        elif state is _EXITED and self._polling:
             self._finish_poll_hit()
         # EXITED (not polling) / READY / INIT / SUSPENDED: stays pending,
         # injected at the next VM entry (for a suspended vCPU that is the
@@ -973,16 +1047,17 @@ class _VcpuExec:
         self._polling = False
         self.sim.cancel(self._poll_event)
         self._poll_event = None
-        self.vcpu.pcpu.account(CycleDomain.HALT_POLL, self.sim.now - self._poll_start)
+        self.vcpu.pcpu.account(_HALT_POLL, self.sim.now - self._poll_start)
         self._enter_guest()
 
     def _wake(self, *, cross_socket: bool = False) -> None:
         vcpu = self.vcpu
-        self._cancel_host_deadline()
+        if self._host_deadline_event is not None:
+            self._cancel_host_deadline()
         halted = self.sim.now - vcpu.halted_since_ns
         vcpu.total_halted_ns += halted
         vcpu.halt_episodes += 1
-        vcpu.state = VcpuState.EXITED
+        vcpu.state = _EXITED
         wake_cycles = self.costs.wake_vcpu
         if cross_socket:
             wake_cycles = int(wake_cycles * self.hv.machine.spec.cross_socket_penalty)
@@ -997,8 +1072,8 @@ class _VcpuExec:
         wake_ns += self._pending_sched_ns
         self._pending_sched_ns = 0
         if self.hv.sched.acquire(vcpu):
-            vcpu.pcpu.account(CycleDomain.HOST_SCHED, wake_ns)
-            self.sim.schedule(wake_ns, self._enter_guest)
+            vcpu.pcpu.account(_HOST_SCHED, wake_ns)
+            self.sim.schedule(wake_ns, self._scheduled_entry, self._epoch)
         else:
             # READY behind another vCPU: the pCPU is busy right now, so
             # the wake/C-state-exit work is paid at dispatch, when it
@@ -1016,7 +1091,7 @@ class _VcpuExec:
         the re-entry hook can inject a virtual tick.
         """
         vcpu = self.vcpu
-        if vcpu.state is not VcpuState.GUEST:
+        if vcpu.state is not _GUEST:
             raise HostError("preemption timer fired outside guest mode")
         self._cancel_cur()
         reason, cost = self.hv.timerhw.deadline_fire_exit(self.costs)
@@ -1027,23 +1102,23 @@ class _VcpuExec:
             vcpu.guest_deadline_ns = None
             if self.sim.trace.enabled:
                 self._trace("deadline_fire", (gd, "ptimer"))
-            vcpu.post_irq(Vector.LOCAL_TIMER)
-            self._begin_exit(reason, ExitTag.TIMER_GUEST_TICK, cost, None)
+            vcpu.post_irq(_LOCAL_TIMER)
+            self._begin_exit(reason, _TIMER_GUEST_TICK, cost, None)
             return
         # Rate-adaptation backstop: no guest deadline was due; the exit
         # exists purely so the entry hook can inject a virtual tick.
-        self._begin_exit(reason, ExitTag.TIMER_HOST_TICK, cost, None)
+        self._begin_exit(reason, _TIMER_HOST_TICK, cost, None)
 
     def host_tick_interrupt(self, *, preempt: bool) -> None:
         """The host scheduler tick fired on our physical CPU."""
         vcpu = self.vcpu
-        if vcpu.state is VcpuState.GUEST:
+        if vcpu.state is _GUEST:
             self._cancel_cur()
             extra = self.costs.host_tick_handler
             then = self._preempt_requeue if preempt else None
             self._begin_exit(
-                ExitReason.EXTERNAL_INTERRUPT,
-                ExitTag.TIMER_HOST_TICK,
+                _EXTERNAL_INTERRUPT,
+                _TIMER_HOST_TICK,
                 self.costs.handler_external_interrupt + extra,
                 None,
                 then=then,

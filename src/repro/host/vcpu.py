@@ -34,6 +34,11 @@ class VcpuState(enum.Enum):
     OFF = "off"
 
 
+# Read on every paratick VM entry; bound once (an ``Enum.X`` read goes
+# through the Enum metaclass on CPython 3.11).
+_LOCAL_TIMER = Vector.LOCAL_TIMER
+
+
 class VCpu:
     """One virtual CPU: identity, pending interrupts, timer bookkeeping."""
 
@@ -136,7 +141,7 @@ class VCpu:
     @property
     def has_pending_timer_irq(self) -> bool:
         """True if a local-timer interrupt awaits injection (§5.1 check)."""
-        return Vector.LOCAL_TIMER in self.pending_irqs
+        return _LOCAL_TIMER in self.pending_irqs
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<vCPU {self.vm_name}/{self.index} {self.state.value} on pCPU{self.pcpu.index}>"

@@ -55,17 +55,18 @@ class PreemptionTimer:
 
     def start(self) -> None:
         """VM entry: begin counting toward the recorded deadline."""
-        if self.running:
+        ev = self._event
+        if ev is not None and ev.pending:
             raise HardwareError("preemption timer started twice")
         if self.deadline_ns is None:
             return
         when = max(self.deadline_ns, self._sim.now)
         # Entry/exit churn is the hottest timer path in overcommit runs:
         # one Event handle per timer, re-armed on every VM entry.
-        if self._event is None:
+        if ev is None:
             self._event = self._sim.at(when, self._fire)
         else:
-            self._sim.rearm(self._event, when)
+            self._sim.rearm(ev, when)
         if self._sim.trace.enabled:
             self._sim.trace.emit(self._sim.now, self.name, "ptimer_start", when)
 

@@ -46,6 +46,7 @@ Contract notes for backend authors (see ``docs/architectures.md``):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigError
@@ -64,6 +65,20 @@ ARCHES = ("x86", "arm")
 
 #: A decoded synchronous exit: (reason, tag, handler_cycles, effect).
 DecodedExit = tuple[ExitReason, ExitTag, int, Optional[Callable[[], None]]]
+
+# Decode runs on every trapped write. Bound once: on CPython 3.11 each
+# ``Enum.X`` read goes through the Enum metaclass and costs several
+# times a global lookup.
+_MSR_WRITE = ExitReason.MSR_WRITE
+_TIMER_PROGRAM = ExitTag.TIMER_PROGRAM
+_EOI = ExitTag.EOI
+_IPI = ExitTag.IPI
+_OTHER = ExitTag.OTHER
+_TSC_DEADLINE = int(Msr.TSC_DEADLINE)
+_TMICT = int(Msr.X2APIC_TMICT)
+_X2APIC_EOI = int(Msr.X2APIC_EOI)
+_ICR = int(Msr.X2APIC_ICR)
+_Wrmsr = gops.Wrmsr
 
 
 class TimerHardware:
@@ -153,36 +168,37 @@ class X86TimerHardware(TimerHardware):
     # --------------------------------------------------- host-side decode
 
     def decode(self, execu, op):
-        if not isinstance(op, gops.Wrmsr):
+        if op.__class__ is not _Wrmsr:
             return None
         c = execu.costs
-        if op.index == Msr.TSC_DEADLINE:
+        index = op.index
+        if index == _TSC_DEADLINE:
             return (
-                ExitReason.MSR_WRITE,
-                ExitTag.TIMER_PROGRAM,
+                _MSR_WRITE,
+                _TIMER_PROGRAM,
                 c.handler_msr_tsc_deadline,
-                lambda: execu._apply_deadline(op.value),
+                partial(execu._apply_deadline, op.value),
             )
-        if op.index == Msr.X2APIC_TMICT:
+        if index == _TMICT:
             # Virtual LAPIC in periodic mode: KVM emulates the
             # repeating timer host-side (classic periodic ticks, §3.1).
             return (
-                ExitReason.MSR_WRITE,
-                ExitTag.TIMER_PROGRAM,
+                _MSR_WRITE,
+                _TIMER_PROGRAM,
                 c.handler_msr_tsc_deadline,
-                lambda: execu._start_virtual_periodic(op.value),
+                partial(execu._start_virtual_periodic, op.value),
             )
-        if op.index == Msr.X2APIC_EOI:
-            return (ExitReason.MSR_WRITE, ExitTag.EOI, c.handler_msr_eoi, None)
-        if op.index == Msr.X2APIC_ICR:
+        if index == _X2APIC_EOI:
+            return (_MSR_WRITE, _EOI, c.handler_msr_eoi, None)
+        if index == _ICR:
             dest, vector = divmod(op.value, 256)
             return (
-                ExitReason.MSR_WRITE,
-                ExitTag.IPI,
+                _MSR_WRITE,
+                _IPI,
                 c.handler_msr_icr,
                 lambda: execu.hv.send_ipi(execu.vm, execu.vcpu, dest, Vector(vector)),
             )
-        return (ExitReason.MSR_WRITE, ExitTag.OTHER, c.handler_msr_tsc_deadline, None)
+        return (_MSR_WRITE, _OTHER, c.handler_msr_tsc_deadline, None)
 
     def deadline_fire_exit(self, costs):
         return (ExitReason.PREEMPTION_TIMER, costs.handler_preemption_timer)

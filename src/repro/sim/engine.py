@@ -46,6 +46,8 @@ class Simulator:
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
+        #: Inclusive horizon of the current :meth:`run` (see try_advance).
+        self._horizon = 0
         self.rng = RngStreams(seed)
         self.trace: Tracer = tracer if tracer is not None else NullTracer()
         #: Number of events dispatched so far (for engine benchmarks).
@@ -189,7 +191,7 @@ class Simulator:
         dispatched = self.dispatched
         # One int comparison per event instead of a None test + compare:
         # simulated times are ns and never reach the sentinel.
-        horizon = (1 << 63) if until is None else until
+        horizon = self._horizon = (1 << 63) if until is None else until
         try:
             while True:
                 if self._stopped or not heap:
@@ -235,6 +237,38 @@ class Simulator:
     def stop(self) -> None:
         """Request the current :meth:`run` to return after this callback."""
         self._stopped = True
+
+    def try_advance(self, time: int) -> bool:
+        """Move the clock to ``time`` now, if no event could tell.
+
+        The run-ahead primitive: a callback that would schedule its own
+        continuation at ``time`` as the very next thing it does may
+        instead ask to jump there and continue inline. True (and the
+        clock reads ``time``) iff we are inside :meth:`run`, :meth:`stop`
+        was not called, ``time`` is within the run's inclusive horizon
+        and the earliest live event is strictly later than ``time`` —
+        then the continuation would have been the next dispatch, at
+        exactly that clock value. An event due at ``time`` itself fires
+        first in the scheduled order, so it blocks the advance. Dead
+        head entries are dropped as :meth:`run` drops them. Outside
+        :meth:`run` (and under :meth:`step`) this is always False.
+
+        The caller owns the proof that nothing it runs after this call
+        returns True could have been reordered; see DESIGN.md,
+        "Run-ahead".
+        """
+        if not self._running or self._stopped or time > self._horizon:
+            return False
+        heap = self._queue._heap
+        if heap:
+            head, seq, ev = heap[0]
+            if ev._cancelled or ev.seq != seq:
+                ev = None  # our reference would keep peek_time from recycling it
+                head = self._queue.peek_time()
+            if head is not None and head <= time:
+                return False
+        self._now = time
+        return True
 
     # ------------------------------------------------------------- inspection
 

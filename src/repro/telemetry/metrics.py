@@ -174,8 +174,7 @@ class MetricsRegistry:
                                  f"{_format_value(m.series[key])}")
             else:
                 for key in sorted(m.series):
-                    h = m.series[key]
-                    assert isinstance(h, Log2Histogram)
+                    h = _histogram(m, key)
                     cumulative = 0
                     for b, c in enumerate(h.counts):
                         if not c:
@@ -219,9 +218,20 @@ class MetricsRegistry:
                 elif om.kind == "gauge":
                     m.series[key] = v
                 else:
-                    assert isinstance(v, Log2Histogram)
+                    v = _histogram(om, key)
                     cur = m.series.get(key)
                     m.series[key] = cur.merge(v) if isinstance(cur, Log2Histogram) else v.merge(Log2Histogram())
+
+
+def _histogram(m: _Metric, key) -> Log2Histogram:
+    """The histogram of one series of a histogram family (checked, so
+    the check holds under ``python -O`` too)."""
+    h = m.series[key]
+    if not isinstance(h, Log2Histogram):
+        raise TypeError(
+            f"histogram {m.name!r} series {dict(key)} holds a "
+            f"{type(h).__name__}, not a Log2Histogram")
+    return h
 
 
 # ---------------------------------------------------------------- validation

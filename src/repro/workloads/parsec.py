@@ -31,7 +31,7 @@ itself measured by ``benchmarks/bench_ablations.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.config import IoDeviceKind
 from repro.errors import WorkloadError
@@ -131,6 +131,10 @@ class ParsecWorkload(Workload):
         self.target_cycles = target_cycles
         self.name = f"parsec.{bench}" + ("" if threads == 1 else f".p{threads}")
         self.io_device = IoDeviceKind.SATA_SSD if self.profile.io_read_hz > 0 else None
+        step_s = self.profile.step_cycles() / NOMINAL_HZ
+        #: (whole, fractional) faults and streaming reads per step.
+        self._faults = _per_step(self.profile.fault_hz, step_s)
+        self._reads = _per_step(self.profile.io_read_hz, step_s)
 
     def default_vcpus(self) -> int:
         return self.threads
@@ -179,45 +183,44 @@ class ParsecWorkload(Workload):
 
     # ---------------------------------------------------------------- bodies
 
-    def _work(self, kernel: GuestKernel, thread: int, step: int) -> int:
-        """Jittered inter-sync work (the imbalance that creates waits)."""
+    def _work(self, kernel: GuestKernel, thread: int) -> Callable[[], int]:
+        """Draws of one thread's jittered inter-sync work (the imbalance
+        that creates waits). The thread's RNG stream is resolved once;
+        its seed derives from its name, so the draws do not depend on
+        when it is resolved."""
         p = self.profile
         base = p.step_cycles()
         if p.imbalance <= 0:
-            return base
-        stream = f"{self.name}.work{thread}"
-        return max(1000, int(kernel.sim.rng.stream(stream).normal(base, p.imbalance * base)))
+            return lambda: base
+        normal = kernel.sim.rng.stream(f"{self.name}.work{thread}").normal
+        sd = p.imbalance * base
+        return lambda: max(1000, int(normal(base, sd)))
 
-    def _background(self, step: int, step_cycles: int) -> Generator:
-        """Faults and input-streaming reads, spread deterministically."""
-        p = self.profile
-        step_s = step_cycles / NOMINAL_HZ
-        if p.fault_hz > 0:
-            expected = p.fault_hz * step_s
-            whole = int(expected)
-            frac = expected - whole
-            count = whole + (1 if frac > 0 and (step * frac) % 1.0 < frac else 0)
-            if count:
-                yield PageFault(count)
-        if p.io_read_hz > 0:
-            expected = p.io_read_hz * step_s
-            whole = int(expected)
-            frac = expected - whole
-            count = whole + (1 if frac > 0 and (step * frac) % 1.0 < frac else 0)
-            for _ in range(count):
-                yield BlockRead(p.io_read_bytes)
+    def _background(self, step: int) -> list:
+        """Faults and input-streaming reads of one step, spread
+        deterministically. A list, so the usual empty step builds no
+        generator; the bodies may ``yield from`` it because the kernel
+        sends no value back for these ops."""
+        ops = []
+        count = _spread(self._faults, step)
+        if count:
+            ops.append(PageFault(count))
+        reads = _spread(self._reads, step)
+        if reads:
+            ops += [BlockRead(self.profile.io_read_bytes) for _ in range(reads)]
+        return ops
 
     def _unsync_body(self, kernel: GuestKernel, thread: int, steps: int) -> Generator:
-        sc = self.profile.step_cycles()
+        work = self._work(kernel, thread)
         for step in range(steps):
-            yield Run(self._work(kernel, thread, step))
-            yield from self._background(step, sc)
+            yield Run(work())
+            yield from self._background(step)
 
     def _barrier_body(self, kernel: GuestKernel, thread: int, steps: int, barrier: Barrier) -> Generator:
-        sc = self.profile.step_cycles()
+        work = self._work(kernel, thread)
         for step in range(steps):
-            yield Run(self._work(kernel, thread, step))
-            yield from self._background(step, sc)
+            yield Run(work())
+            yield from self._background(step)
             yield BarrierWait(barrier)
 
     def _lock_body(
@@ -231,7 +234,7 @@ class ParsecWorkload(Workload):
         The neighbour pairing alternates direction so waits are mutual.
         """
         p = self.profile
-        sc = p.step_cycles()
+        work = self._work(kernel, thread)
         n = self.threads
         partner = thread ^ 1 if (thread ^ 1) < n else thread
         my_cv = conds[thread]
@@ -239,8 +242,8 @@ class ParsecWorkload(Workload):
         m = locks[(thread // 2) % len(locks)]
         solo = partner == thread
         for step in range(steps):
-            yield Run(self._work(kernel, thread, step))
-            yield from self._background(step, sc)
+            yield Run(work())
+            yield from self._background(step)
             yield MutexLock(m)
             yield Run(p.critical_cycles)
             yield MutexUnlock(m)
@@ -256,7 +259,7 @@ class ParsecWorkload(Workload):
         finite queues makes stages block and unblock at ~sync_hz — the
         microsecond idle periods of §3.2.
         """
-        sc = self.profile.step_cycles()
+        work = self._work(kernel, thread)
         nstages = self.threads
         first = thread == 0
         last = thread == nstages - 1
@@ -265,10 +268,26 @@ class ParsecWorkload(Workload):
                 item = step
             else:
                 item = yield QueueGet(queues[thread - 1])
-            yield Run(self._work(kernel, thread, step))
-            yield from self._background(step, sc)
+            yield Run(work())
+            yield from self._background(step)
             if not last:
                 yield QueuePut(queues[thread], item)
+
+
+def _per_step(hz: float, step_s: float) -> tuple[int, float]:
+    """Events per step at ``hz``, as (whole, fractional) parts."""
+    if hz <= 0:
+        return 0, 0.0
+    expected = hz * step_s
+    whole = int(expected)
+    return whole, expected - whole
+
+
+def _spread(per_step: tuple[int, float], step: int) -> int:
+    """Events in ``step``: the fractional part lands on a deterministic
+    subset of steps, so the long-run rate is exact."""
+    whole, frac = per_step
+    return whole + (1 if frac > 0 and (step * frac) % 1.0 < frac else 0)
 
 
 def benchmark(name: str, *, threads: int = 1, target_cycles: int = 700_000_000) -> ParsecWorkload:

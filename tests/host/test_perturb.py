@@ -170,6 +170,23 @@ class TestPerturbationEdges:
         assert [str(v) for v in sanitizer.finish()] == []
         assert m.extra["clock_offset_ns"] == period
 
+    @pytest.mark.parametrize("kind", ["suspend", "restore"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_resume_before_the_inflight_entry_lands(self, kind, mode):
+        """A 1 ns span at t=1 ends while the boot entry started at t=0
+        is still in flight. That continuation must park like one landing
+        inside the span: the resume starts the only entry. (Both used to
+        run, so the guest op stream ran twice and an orphaned compute
+        completion crashed the run.)"""
+        from repro.analysis.checkers import TickSanitizer
+
+        sanitizer = TickSanitizer(mode=mode)
+        m = run_idleperiod(mode, (Perturbation(kind, at_ns=1, duration_ns=1),),
+                           tracer=sanitizer)
+        assert [str(v) for v in sanitizer.finish()] == []
+        assert m.extra["suspend_count"] == 1
+        assert m.extra["suspended_ns"] == 1
+
     def test_exact_boundary_drift_deterministic(self):
         period = 4 * MSEC
         schedule = (Perturbation("drift", at_ns=period, step_ns=period),)

@@ -143,3 +143,54 @@ class TestJsonAndMerge:
         assert a.counter_value("cells") == 5
         h = a.histogram("wall_ns")
         assert h.count == 2 and h.total == 1010
+
+
+# Under ``python -O`` bare ``assert``s vanish. The child runs the
+# histogram type checks and the grid's telemetry settle path with
+# assertions stripped: the checks must still raise, and the settle path
+# must still record.
+_OPTIMIZED = """
+assert False, "assert statements must be stripped in this child"
+from repro.config import TickMode
+from repro.experiments.parallel import RunSpec, WorkloadSpec, run_grid
+from repro.telemetry import HarnessTelemetry
+from repro.telemetry.metrics import MetricsRegistry
+
+r = MetricsRegistry()
+r.observe("wall_ns", 5, status="ran")
+[m] = r._metrics.values()
+m.series[next(iter(m.series))] = 7
+for call in (r.to_prometheus, lambda: MetricsRegistry().merge(r)):
+    try:
+        call()
+    except TypeError as e:
+        print("raised:", e)
+
+tel = HarnessTelemetry()
+spec = RunSpec(WorkloadSpec.make("micro.pingpong", rounds=10, work_cycles=10_000),
+               tick_mode=TickMode.PARATICK, noise=False)
+run_grid([spec], jobs=1, use_cache=False, telemetry=tel)
+print("settled:", tel.metrics.counter_value("cells", status="ran"))
+"""
+
+
+def test_checks_hold_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == [
+        "raised: histogram 'wall_ns' series {'status': 'ran'} holds a int, "
+        "not a Log2Histogram",
+    ] * 2
+    assert lines[2] == "settled: 1"
