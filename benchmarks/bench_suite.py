@@ -5,7 +5,7 @@ simulation substrate's hot paths and the end-to-end experiment loop,
 then emits ``BENCH_simcore.json``::
 
     PYTHONPATH=src python benchmarks/bench_suite.py                # print table
-    PYTHONPATH=src python benchmarks/bench_suite.py --update      # rewrite baseline
+    PYTHONPATH=src python benchmarks/bench_suite.py --update --bench NAME  # refresh NAME
     PYTHONPATH=src python benchmarks/bench_suite.py --check       # CI gate
 
 ``--check`` compares fresh ops/sec against the committed baseline
@@ -14,10 +14,13 @@ more than ``--threshold`` (default 20%) of its throughput. ``--output``
 writes the fresh measurements as JSON (the CI job uploads it as an
 artifact so the trajectory is recorded even on green runs).
 
-The committed baseline is machine-dependent by nature; refresh it with
-``--update`` on the reference runner whenever the hot path changes
-intentionally (see docs/benchmarking.md for the workflow — speeding
-things up also warrants an update, or the gate slowly goes blind).
+The committed baseline is machine-dependent by nature; refresh a
+bench's entry with ``--update --bench NAME`` on the reference runner
+whenever its hot path changes intentionally (see docs/benchmarking.md
+for the workflow — speeding things up also warrants an update, or the
+gate slowly goes blind). ``--update`` without ``--bench`` exits non-zero
+and lists the bench names: one noisy local run must not rewrite every
+gated baseline at once.
 """
 
 from __future__ import annotations
@@ -503,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--check", action="store_true",
                     help="compare against the committed baseline; exit 1 on regression")
     ap.add_argument("--update", action="store_true",
-                    help="rewrite the committed baseline from this run")
+                    help="rewrite the baselines of the --bench benches from this run")
     ap.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
     ap.add_argument("--output", type=Path, default=None,
                     help="also write fresh results to this JSON file")
@@ -512,6 +515,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--bench", action="append", default=None,
                     help="run only the named bench (repeatable)")
     args = ap.parse_args(argv)
+    unknown = sorted(set(args.bench or ()) - set(BENCHES))
+    if unknown or (args.update and not args.bench):
+        reason = (f"unknown bench(es) {', '.join(unknown)}" if unknown else
+                  "--update needs --bench NAME for each baseline to refresh")
+        ap.error(f"{reason}; benches: {', '.join(BENCHES)}")
 
     print("sim-core benchmark suite")
     fresh = run_suite(args.bench)

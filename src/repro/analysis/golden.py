@@ -4,30 +4,37 @@ The simulation core is rewritten for throughput from time to time (free
 lists, re-arm fast paths, inlined dispatch loops). Every such rewrite
 must be *behaviour preserving down to the bit*: same seed, same
 workload, same tick mode ⇒ the same ``RunMetrics`` JSON and the same
-structured event stream. This module pins that contract:
+structured event stream. This module pins that contract with four
+batteries, one :data:`BATTERIES` registry entry each:
 
-* :func:`capture` runs a fixed battery — a hand-picked workload set per
-  tick mode (with a hashing tracer riding along) plus the first 20
-  differential-fuzz scenarios per tick mode and placement (untraced,
-  the production fast path) — and writes every metrics dict and stream
-  hash to a fixture file;
-* :func:`compare` re-runs the battery against the committed fixture and
-  reports every divergence.
+* ``simcore`` — a hand-picked workload set per tick mode (with a
+  hashing tracer riding along) plus the first 20 differential-fuzz
+  scenarios per tick mode and placement (untraced, the production fast
+  path);
+* ``arm`` — the same battery under the ARM generic-timer backend;
+* ``perturb`` — every perturbation kind under every tick mode;
+* ``fleet`` — small racks at two consolidation ratios under every tick
+  mode, per-host digests plus the fleet aggregate.
 
-The committed fixture (``tests/fixtures/golden_simcore.json``) was
-captured on the seed-era engine *before* the first fast-path rewrite;
-``tests/integration/test_determinism_golden.py`` replays it on every
-run. Update it only when behaviour is *intended* to change::
+:func:`capture` runs a battery and writes its fixture; :func:`compare`
+re-runs it against the committed fixture and reports every diverged,
+missing and unpinned entry. The ``simcore`` fixture
+(``tests/fixtures/golden_simcore.json``) was captured on the seed-era
+engine *before* the first fast-path rewrite; the integration tests
+replay every fixture on every run. Update one only when behaviour is
+*intended* to change::
 
-    PYTHONPATH=src python -m repro.analysis.golden --write
+    PYTHONPATH=src python -m repro.analysis.golden --battery simcore --write
 
 and call out the behaviour change in the PR description.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
@@ -40,25 +47,13 @@ from repro.metrics.perf import RunMetrics
 from repro.sim.timebase import MSEC, USEC
 from repro.sim.trace import Tracer
 
-#: Fixture location relative to the repo root.
-DEFAULT_FIXTURE = Path("tests/fixtures/golden_simcore.json")
-
-#: Perturbation-conformance fixture (every kind x every tick mode).
-PERTURB_FIXTURE = Path("tests/fixtures/golden_perturb.json")
-
-#: Fleet battery fixture (3 tick modes x 2 consolidation ratios).
-FLEET_FIXTURE = Path("tests/fixtures/golden_fleet.json")
-
-#: ARM generic-timer battery fixture — the same workload/fuzz battery
-#: executed under ``arch="arm"`` (repro.hw.arm), pinning the second
-#: timer architecture to the bit exactly like the x86 seed fixture.
-ARM_FIXTURE = Path("tests/fixtures/golden_arm.json")
-
 #: Seeds covered by the fuzz-equivalence section.
 FUZZ_SEEDS = tuple(range(20))
 
 #: Bump when the battery itself changes shape (invalidates old files).
 SCHEMA = 1
+
+Note = Callable[[str], None]
 
 
 def _canon(detail: Any) -> str:
@@ -89,7 +84,18 @@ def metrics_digest(metrics: RunMetrics) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# --------------------------------------------------------------- batteries
+def _traced_case(workload, **kwargs) -> dict:
+    """One traced run → fixture entry (metrics + event-stream hash)."""
+    tracer = HashTracer()
+    metrics = run_workload(workload, tracer=tracer, **kwargs)
+    return {
+        "metrics": metrics.to_json_dict(),
+        "trace_sha256": tracer.hexdigest(),
+        "trace_records": tracer.records,
+    }
+
+
+# ------------------------------------------------- simcore / arm battery
 
 
 def _workload_cases() -> Iterator[tuple[str, Callable, dict]]:
@@ -127,58 +133,34 @@ def _workload_cases() -> Iterator[tuple[str, Callable, dict]]:
     )
 
 
-def _traced_case(workload, **kwargs) -> dict:
-    """One traced run → fixture entry (metrics + event-stream hash)."""
-    tracer = HashTracer()
-    metrics = run_workload(workload, tracer=tracer, **kwargs)
-    return {
-        "metrics": metrics.to_json_dict(),
-        "trace_sha256": tracer.hexdigest(),
-        "trace_records": tracer.records,
-    }
-
-
-def _run_workload_case(
-    name: str, factory: Callable, kwargs: dict, mode: TickMode, arch: str = "x86"
-) -> dict:
+def _run_simcore(note: Note, arch: str) -> dict:
+    """Traced workload cells plus untraced fuzz-scenario metric hashes."""
     prefix = "golden" if arch == "x86" else f"golden-{arch}"
-    return _traced_case(factory(), tick_mode=mode, arch=arch,
-                        label=f"{prefix}/{name}/{mode.value}", **kwargs)
-
-
-def _run_fuzz_case(seed: int, mode: TickMode, placement: str, arch: str = "x86") -> str:
-    """One untraced (production fast path) fuzz-scenario run → metrics hash."""
-    scenario = scenario_for_seed(seed)
-    label = f"fuzz{seed}/{scenario.kind}/{mode.value}/{placement}"
-    if arch != "x86":
-        label += f"/{arch}"
-    spec = scenario_spec(scenario, mode, placement=placement, arch=arch, label=label)
-    return metrics_digest(run_spec(spec))
-
-
-def run_battery(
-    progress: Optional[Callable[[str], None]] = None, arch: str = "x86"
-) -> dict:
-    """Execute the full battery and return the fixture payload."""
-
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
     workloads: dict[str, dict] = {}
     for name, factory, kwargs in _workload_cases():
         for mode in TickMode:
             key = f"{name}/{mode.value}"
-            workloads[key] = _run_workload_case(name, factory, kwargs, mode, arch)
+            workloads[key] = _traced_case(factory(), tick_mode=mode, arch=arch,
+                                          label=f"{prefix}/{key}", **kwargs)
             note(key)
     fuzz: dict[str, str] = {}
     for seed in FUZZ_SEEDS:
+        scenario = scenario_for_seed(seed)
         for placement in (SOLO, OVERCOMMIT):
             for mode in TickMode:
-                key = f"seed{seed}/{mode.value}/{placement}"
-                fuzz[key] = _run_fuzz_case(seed, mode, placement, arch)
+                label = f"fuzz{seed}/{scenario.kind}/{mode.value}/{placement}"
+                if arch != "x86":
+                    label += f"/{arch}"
+                spec = scenario_spec(scenario, mode, placement=placement, arch=arch,
+                                     label=label)
+                fuzz[f"seed{seed}/{mode.value}/{placement}"] = metrics_digest(run_spec(spec))
         note(f"fuzz seed {seed}")
-    return {"schema": SCHEMA, "arch": arch, "workloads": workloads, "fuzz": fuzz}
+    payload = {"schema": SCHEMA, "workloads": workloads, "fuzz": fuzz}
+    if arch != "x86":
+        # Like a RunSpec's arch: emitted only when non-default, so the
+        # x86 fixture predating the field stays byte-identical.
+        payload["arch"] = arch
+    return payload
 
 
 # ------------------------------------------------- perturbation battery
@@ -209,59 +191,18 @@ def _perturb_workload():
     return IdlePeriodWorkload(500 * USEC, iterations=30, work_cycles=100_000)
 
 
-def run_perturb_case(name: str, schedule: tuple, mode: TickMode) -> dict:
-    """One traced perturbed run → fixture entry (metrics + stream hash)."""
-    return _traced_case(
-        _perturb_workload(), tick_mode=mode, seed=5, cpuidle=True,
-        perturbations=schedule, label=f"golden-perturb/{name}/{mode.value}",
-    )
-
-
-def run_perturb_battery(progress: Optional[Callable[[str], None]] = None) -> dict:
-    """Every perturbation kind under every tick mode (12 cases)."""
+def _run_perturb(note: Note) -> dict:
+    """Every perturbation kind under every tick mode (12 traced cases)."""
     cases: dict[str, dict] = {}
     for name, schedule in perturb_cases():
         for mode in TickMode:
             key = f"{name}/{mode.value}"
-            cases[key] = run_perturb_case(name, schedule, mode)
-            if progress is not None:
-                progress(key)
-    return {"schema": SCHEMA, "cases": cases}
-
-
-def capture_perturb(path: Path = PERTURB_FIXTURE, progress=None) -> dict:
-    payload = run_perturb_battery(progress)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return payload
-
-
-def compare_perturb(path: Path = PERTURB_FIXTURE, progress=None) -> list[str]:
-    """Replay the perturbation battery against its fixture."""
-    golden = load(path)
-    fresh = run_perturb_battery(progress)
-    problems: list[str] = []
-    for key, want in golden["cases"].items():
-        got = fresh["cases"].get(key)
-        if got is None:
-            problems.append(f"perturb case {key} missing from battery")
-            continue
-        if got["metrics"] != want["metrics"]:
-            diffs = [
-                f"{field}: {want['metrics'][field]!r} -> {got['metrics'][field]!r}"
-                for field in want["metrics"]
-                if got["metrics"].get(field) != want["metrics"][field]
-            ]
-            problems.append(f"perturb {key}: RunMetrics diverged ({'; '.join(diffs)})")
-        if got["trace_sha256"] != want["trace_sha256"]:
-            problems.append(
-                f"perturb {key}: event stream diverged "
-                f"({want['trace_records']} -> {got['trace_records']} records)"
+            cases[key] = _traced_case(
+                _perturb_workload(), tick_mode=mode, seed=5, cpuidle=True,
+                perturbations=schedule, label=f"golden-perturb/{key}",
             )
-    for key in fresh["cases"]:
-        if key not in golden["cases"]:
-            problems.append(f"perturb case {key} not pinned in fixture")
-    return problems
+            note(key)
+    return {"schema": SCHEMA, "cases": cases}
 
 
 # ------------------------------------------------------- fleet battery
@@ -299,8 +240,8 @@ def fleet_cases():
             )
 
 
-def run_fleet_case(fleet) -> dict:
-    """One fleet case, serially: per-host digests + the fleet aggregate.
+def _run_fleet(note: Note) -> dict:
+    """Per-host digests plus the fleet aggregate, hosts run serially.
 
     Hosts run through :func:`repro.experiments.parallel.run_spec`
     directly (no pool, no cache) — the identity gate separately proves
@@ -308,75 +249,50 @@ def run_fleet_case(fleet) -> dict:
     """
     from repro.fleet.aggregate import aggregate_hosts, fleet_bytes
 
-    metrics = [run_spec(spec) for spec in fleet.host_specs()]
-    agg = aggregate_hosts(metrics)
-    return {
-        "aggregate": agg.to_json_dict(),
-        "aggregate_sha256": hashlib.sha256(fleet_bytes(agg)).hexdigest(),
-        "hosts": {m.label: metrics_digest(m) for m in metrics},
-    }
-
-
-def run_fleet_battery(progress: Optional[Callable[[str], None]] = None) -> dict:
     cases: dict[str, dict] = {}
     for name, fleet in fleet_cases():
-        cases[name] = run_fleet_case(fleet)
-        if progress is not None:
-            progress(name)
+        metrics = [run_spec(spec) for spec in fleet.host_specs()]
+        agg = aggregate_hosts(metrics)
+        cases[name] = {
+            "aggregate": agg.to_json_dict(),
+            "aggregate_sha256": hashlib.sha256(fleet_bytes(agg)).hexdigest(),
+            "hosts": {m.label: metrics_digest(m) for m in metrics},
+        }
+        note(name)
     return {"schema": SCHEMA, "cases": cases}
 
 
-def capture_fleet(path: Path = FLEET_FIXTURE, progress=None) -> dict:
-    payload = run_fleet_battery(progress)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return payload
+# ------------------------------------------------------------ registry
 
 
-def compare_fleet(path: Path = FLEET_FIXTURE, progress=None) -> list[str]:
-    """Replay the fleet battery against its fixture."""
-    golden = load(path)
-    fresh = run_fleet_battery(progress)
-    problems: list[str] = []
-    for key, want in golden["cases"].items():
-        got = fresh["cases"].get(key)
-        if got is None:
-            problems.append(f"fleet case {key} missing from battery")
-            continue
-        if got["aggregate"] != want["aggregate"]:
-            diffs = [
-                f"{field}: {want['aggregate'][field]!r} -> {got['aggregate'][field]!r}"
-                for field in want["aggregate"]
-                if got["aggregate"].get(field) != want["aggregate"][field]
-            ]
-            problems.append(f"fleet {key}: aggregate diverged ({'; '.join(diffs)})")
-        for host, digest in want["hosts"].items():
-            fresh_digest = got["hosts"].get(host)
-            if fresh_digest != digest:
-                problems.append(f"fleet {key}: host {host} metrics diverged")
-    for key in fresh["cases"]:
-        if key not in golden["cases"]:
-            problems.append(f"fleet case {key} not pinned in fixture")
-    return problems
+@dataclass(frozen=True)
+class Battery:
+    """One golden battery: its committed fixture and the run behind it."""
+
+    fixture: Path
+    #: ``run(note)`` → fixture payload; ``note(case)`` after each case.
+    run: Callable[[Note], dict]
+    #: Timer architecture the battery runs; replaying a fixture that
+    #: pins another one is an error, not a diff.
+    arch: str = "x86"
 
 
-# ------------------------------------------------------------ read/compare
+#: Battery name → battery. Fixture paths are relative to the repo root.
+BATTERIES = {
+    "simcore": Battery(Path("tests/fixtures/golden_simcore.json"),
+                       functools.partial(_run_simcore, arch="x86")),
+    "arm": Battery(Path("tests/fixtures/golden_arm.json"),
+                   functools.partial(_run_simcore, arch="arm"), arch="arm"),
+    "perturb": Battery(Path("tests/fixtures/golden_perturb.json"), _run_perturb),
+    "fleet": Battery(Path("tests/fixtures/golden_fleet.json"), _run_fleet),
+}
 
 
-def capture(path: Path = DEFAULT_FIXTURE, progress=None, arch: str = "x86") -> dict:
-    """Run the battery and write the fixture file."""
-    payload = run_battery(progress, arch=arch)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return payload
+def _quiet(_: str) -> None:
+    pass
 
 
-def capture_arm(path: Path = ARM_FIXTURE, progress=None) -> dict:
-    """Capture the battery under the ARM generic-timer backend."""
-    return capture(path, progress, arch="arm")
-
-
-def load(path: Path = DEFAULT_FIXTURE) -> dict:
+def load(path: Path) -> dict:
     data = json.loads(Path(path).read_text())
     if data.get("schema") != SCHEMA:
         raise ValueError(
@@ -385,86 +301,62 @@ def load(path: Path = DEFAULT_FIXTURE) -> dict:
     return data
 
 
-def compare(path: Path = DEFAULT_FIXTURE, progress=None, arch: str = "x86") -> list[str]:
-    """Re-run the battery; return human-readable divergences (empty = ok)."""
+def capture(name: str, path: Optional[Path] = None,
+            progress: Optional[Note] = None) -> Path:
+    """Run battery ``name`` and write its fixture; return the path."""
+    path = Path(path or BATTERIES[name].fixture)
+    payload = BATTERIES[name].run(progress or _quiet)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    return path
+
+
+def compare(name: str, path: Optional[Path] = None,
+            progress: Optional[Note] = None) -> list[str]:
+    """Re-run battery ``name`` against its fixture (or ``path``);
+    return human-readable divergences (empty = ok)."""
+    battery = BATTERIES[name]
+    path = Path(path or battery.fixture)
     golden = load(path)
-    pinned_arch = golden.get("arch", "x86")
-    if pinned_arch != arch:
-        return [f"fixture {path} pins arch {pinned_arch!r}, battery ran {arch!r}"]
-    fresh = run_battery(progress, arch=arch)
-    problems: list[str] = []
-    for key, want in golden["workloads"].items():
-        got = fresh["workloads"].get(key)
-        if got is None:
-            problems.append(f"workload case {key} missing from battery")
-            continue
-        if got["metrics"] != want["metrics"]:
-            diffs = [
-                f"{field}: {want['metrics'][field]!r} -> {got['metrics'][field]!r}"
-                for field in want["metrics"]
-                if got["metrics"].get(field) != want["metrics"][field]
-            ]
-            problems.append(f"{key}: RunMetrics diverged ({'; '.join(diffs)})")
-        if got["trace_sha256"] != want["trace_sha256"]:
-            problems.append(
-                f"{key}: event stream diverged "
-                f"({want['trace_records']} -> {got['trace_records']} records)"
-            )
-    for key, want in golden["fuzz"].items():
-        got = fresh["fuzz"].get(key)
-        if got is None:
-            problems.append(f"fuzz case {key} missing from battery")
-        elif got != want:
-            problems.append(f"fuzz {key}: metrics hash diverged")
+    pinned = golden.get("arch", "x86")
+    if pinned != battery.arch:
+        return [f"fixture {path} pins arch {pinned!r}, battery {name} runs {battery.arch!r}"]
+    # Through JSON, so the fresh side reads exactly as its fixture would.
+    fresh = json.loads(json.dumps(battery.run(progress or _quiet)))
+    return diff(golden, fresh, name)
+
+
+def diff(want: Any, got: Any, where: str) -> list[str]:
+    """Every diverged, missing and unpinned entry of ``got`` against ``want``."""
+    if not (isinstance(want, dict) and isinstance(got, dict)):
+        return [] if want == got else [f"{where}: diverged ({want!r} -> {got!r})"]
+    problems = [f"{where}/{key}: not pinned in fixture" for key in got if key not in want]
+    for key, value in want.items():
+        if key not in got:
+            problems.append(f"{where}/{key}: missing from battery")
+        else:
+            problems += diff(value, got[key], f"{where}/{key}")
     return problems
-
-
-def compare_arm(path: Path = ARM_FIXTURE, progress=None) -> list[str]:
-    """Replay the battery on the ARM backend against its fixture."""
-    return compare(path, progress, arch="arm")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     import argparse
 
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--fixture", type=Path, default=None)
+    ap.add_argument("--battery", choices=sorted(BATTERIES), default="simcore",
+                    help="battery to check or capture (default: simcore)")
+    ap.add_argument("--fixture", type=Path, default=None,
+                    help="fixture file (default: the battery's own)")
     ap.add_argument("--write", action="store_true",
                     help="re-capture the fixture instead of checking it")
-    ap.add_argument("--perturb", action="store_true",
-                    help="operate on the perturbation battery "
-                         f"(default fixture: {PERTURB_FIXTURE})")
-    ap.add_argument("--fleet", action="store_true",
-                    help="operate on the fleet battery "
-                         f"(default fixture: {FLEET_FIXTURE})")
-    ap.add_argument("--arm", action="store_true",
-                    help="operate on the ARM generic-timer battery "
-                         f"(default fixture: {ARM_FIXTURE})")
     args = ap.parse_args(argv)
-    if sum((args.perturb, args.fleet, args.arm)) > 1:
-        ap.error("--perturb, --fleet and --arm are mutually exclusive")
-    if args.arm:
-        fixture, do_capture, do_compare, name = (
-            ARM_FIXTURE, capture_arm, compare_arm, "arm battery")
-    elif args.fleet:
-        fixture, do_capture, do_compare, name = (
-            FLEET_FIXTURE, capture_fleet, compare_fleet, "fleet battery")
-    elif args.perturb:
-        fixture, do_capture, do_compare, name = (
-            PERTURB_FIXTURE, capture_perturb, compare_perturb, "perturb battery")
-    else:
-        fixture, do_capture, do_compare, name = (
-            DEFAULT_FIXTURE, capture, compare, "golden battery")
-    if args.fixture is not None:
-        fixture = args.fixture
     if args.write:
-        do_capture(fixture, progress=print)
-        print(f"wrote {fixture}")
+        print(f"wrote {capture(args.battery, args.fixture, progress=print)}")
         return 0
-    problems = do_compare(fixture, progress=None)
+    problems = compare(args.battery, args.fixture)
     for p in problems:
         print(f"DIVERGED: {p}")
-    print(f"{name}:", "clean" if not problems else f"{len(problems)} divergences")
+    print(f"{args.battery} battery:", "clean" if not problems else f"{len(problems)} divergences")
     return 1 if problems else 0
 
 

@@ -5,9 +5,11 @@ independent ``run_workload`` calls over (scenario x tick-mode x seed).
 This module turns that grid into data — a list of :class:`RunSpec` — and
 executes it:
 
-* **fan-out** across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (``jobs=N``); the simulator is deterministic per seed, so a run's
-  result does not depend on which process executes it;
+* **fan-out** — one dispatch loop feeds a
+  :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=N``, at most
+  N + 1 cells in flight) or its in-process stand-in; the simulator is
+  deterministic per seed, so a run's result does not depend on which
+  process executes it;
 * **result cache** — each spec hashes to a stable content address
   (:func:`spec_key`); finished runs are stored as JSON under that key
   and re-running a benchmark only executes changed cells;
@@ -19,7 +21,7 @@ executes it:
   ``timeout`` / ``crash`` / ``error`` — instead of sinking the rest of
   the grid. Pool rebuilds after worker crashes are capped, and a
   failure-rate circuit breaker shrinks the pool and falls back to
-  serial before giving up (:mod:`repro.resilience.policy`);
+  in-process execution before giving up (:mod:`repro.resilience.policy`);
 * **crash safety** — an optional append-only run *journal*
   (:mod:`repro.resilience.journal`) records every cell's lifecycle;
   ``resume=`` replays it, skipping completed cells after re-verifying
@@ -39,9 +41,9 @@ executes it:
 A :class:`RunSpec` is declarative: the workload is named by a
 :class:`WorkloadSpec` (factory kind + keyword parameters) rather than a
 live object, so specs are hashable, picklable and JSON-serializable.
-Results round-trip through :meth:`RunMetrics.to_json_dict`; both the
-serial and the pooled path return cache-decoded objects, so a cached
-grid is bit-identical to a fresh one.
+Results round-trip through :meth:`RunMetrics.to_json_dict`; both
+executors return cache-decoded objects, so a cached grid is
+bit-identical to a fresh one.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.config import HostFeatures, IoDeviceKind, MachineSpec, TickMode
 from repro.errors import ReproError
@@ -381,11 +383,6 @@ def run_spec(spec: RunSpec, *, tracer=None, inspect=None, obs=None):
     )
 
 
-def execute_spec(spec: RunSpec) -> RunMetrics:
-    """Run one spec in-process and return its :class:`RunMetrics`."""
-    return execute_spec_full(spec)[0]
-
-
 def _obs_for(spec: RunSpec):
     """The :class:`~repro.obs.Observability` bundle a spec asks for.
 
@@ -596,11 +593,6 @@ class ResultCache:
             raise
         return path
 
-    def store(self, spec: RunSpec, encoded: dict) -> Path:
-        key = spec_key(spec)
-        return self._write_atomic(self.path_for(key),
-                                  self._result_body(spec, encoded, key))
-
     def store_entry(self, spec: RunSpec, encoded: dict, *,
                     obs: Optional[dict] = None,
                     series: Optional[dict] = None,
@@ -640,35 +632,14 @@ class ResultCache:
                 stage.rmdir()
         return result_path
 
-    def load_artifact(self, spec: RunSpec, key: Optional[str] = None) -> Optional[dict]:
-        """Cached profile artifact for ``spec``, or None."""
-        path = self.artifact_path_for(key or spec_key(spec))
+    def load_sidecar(self, path: Path) -> Optional[dict]:
+        """A cached profile or series artifact (:meth:`artifact_path_for`,
+        :meth:`series_path_for`), or None."""
         payload = self._read_json(path)
-        if payload is None:
-            return None
-        if not isinstance(payload, dict):
+        if payload is not None and not isinstance(payload, dict):
             self._discard(path)
             return None
         return payload
-
-    def store_artifact(self, spec: RunSpec, obs: dict) -> Path:
-        return self._write_atomic(self.artifact_path_for(spec_key(spec)),
-                                  json.dumps(obs, sort_keys=True))
-
-    def load_series(self, spec: RunSpec, key: Optional[str] = None) -> Optional[dict]:
-        """Cached time-series artifact for ``spec``, or None."""
-        path = self.series_path_for(key or spec_key(spec))
-        payload = self._read_json(path)
-        if payload is None:
-            return None
-        if not isinstance(payload, dict):
-            self._discard(path)
-            return None
-        return payload
-
-    def store_series(self, spec: RunSpec, series: dict) -> Path:
-        return self._write_atomic(self.series_path_for(spec_key(spec)),
-                                  json.dumps(series, sort_keys=True))
 
     def quarantine_entry(self, key: str) -> int:
         """Quarantine every file of entry ``key`` (result + artifacts).
@@ -809,6 +780,394 @@ def _pool_context():
     return multiprocessing.get_context("fork")
 
 
+class CellTransition(NamedTuple):
+    """One step of a grid cell's life, as the grid's observers see it:
+    ``cached`` or ``resumed`` (the probe served the cell), ``scheduled``
+    (the probe missed), ``started`` (an attempt was submitted), ``retry``
+    or ``failed`` (an attempt failed; the cell is re-queued or given up)
+    or ``ran`` (an attempt's result settled)."""
+
+    status: str
+    spec: RunSpec
+    key: str
+    attempt: int = 1
+    error: Optional[str] = None
+    failure_kind: Optional[str] = None
+    duration_s: Optional[float] = None
+    #: The decoded result ("cached", "resumed", "ran"); for "ran" also
+    #: its encoded form as cached and the pid that executed it.
+    result: Any = None
+    encoded: Optional[dict] = None
+    pid: Optional[int] = None
+
+
+def journal_observer(journal: RunJournal) -> Callable[[CellTransition], None]:
+    """Journal every transition but ``retry`` (the next ``started``
+    record carries the new attempt number); ``ran`` is a ``done``."""
+
+    def observe(t: CellTransition) -> None:
+        extra: dict[str, Any] = {}
+        if t.status == "started":
+            extra = {"attempt": t.attempt}
+        elif t.status == "failed":
+            extra = {"error": t.error, "kind": t.failure_kind, "attempts": t.attempt}
+        elif t.status in ("cached", "resumed", "ran"):
+            extra = {"result_hash": result_hash(t.encoded or encode_result(t.result))}
+        elif t.status != "scheduled":
+            return
+        journal.record("done" if t.status == "ran" else t.status, t.key, **extra)
+
+    return observe
+
+
+def telemetry_observer(tel, *, cache: bool,
+                       resume_done: Iterable[str] = ()) -> Callable[[CellTransition], None]:
+    """Counters, instants and worker-lane spans of ``tel`` per transition.
+
+    ``cache`` says whether the grid probes a cache (only then is a
+    ``scheduled`` cell a miss); a ``scheduled`` key in ``resume_done``
+    (the keys a resumed journal witnessed as done) is a resume miss.
+    """
+    resume_done = frozenset(resume_done)
+
+    def settled(status: str, duration_s: Optional[float]) -> None:
+        tel.counter("cells", help="grid cells settled by status", status=status)
+        if duration_s is not None:
+            tel.observe("shard_wall_ns", int(duration_s * 1e9),
+                        help="per-attempt shard wall-clock", status=status)
+
+    def observe(t: CellTransition) -> None:
+        label = t.spec.display_label()
+        if t.status == "resumed":
+            tel.instant("resume.hit", lane="cache", spec=label)
+            tel.counter("cells_resumed", help="cells skipped via journal resume")
+            tel.counter("cells_reverified",
+                        help="resumed cells re-verified against the journaled result hash")
+        if t.status in ("cached", "resumed"):
+            tel.instant("cache.hit", lane="cache", spec=label)
+            tel.counter("cache_hits", help="grid cells served from cache")
+            settled(t.status, None)
+        elif t.status == "scheduled":
+            if t.key in resume_done:
+                # Journaled as done, but the cache cannot serve it.
+                tel.instant("resume.miss", lane="cache", spec=label)
+            if cache:
+                tel.instant("cache.miss", lane="cache", spec=label)
+                tel.counter("cache_misses", help="grid cells not in cache")
+        elif t.status == "ran" and t.duration_s is not None:
+            # The worker's execution as a slice on its lane: it ended
+            # (approximately) now and lasted duration_s.
+            wall_ns = int(t.duration_s * 1e9)
+            tel.add_span("shard.execute", tel.now_ns() - wall_ns, wall_ns,
+                         lane=f"worker-{t.pid}", spec=label)
+            settled("ran", t.duration_s)
+        elif t.status in ("retry", "failed"):
+            count = {"attempt" if t.status == "retry" else "attempts": t.attempt}
+            tel.instant(f"shard.{t.status}", spec=label, error=t.error,
+                        kind=t.failure_kind, **count)
+            settled(t.status, t.duration_s)
+
+    return observe
+
+
+def progress_observer(progress: Callable[[ProgressEvent], None],
+                      total: int) -> Callable[[CellTransition], None]:
+    """A :class:`ProgressEvent` per settled cell and per retry. A
+    callback that raises is disabled (with a :class:`RuntimeWarning`)
+    after its first exception: observation must never abort the grid."""
+    done = 0
+
+    def observe(t: CellTransition) -> None:
+        nonlocal done, progress
+        if progress is None or t.status in ("scheduled", "started"):
+            return
+        if t.status != "retry":
+            done += 1
+        try:
+            progress(ProgressEvent(t.spec, t.status, done, total, t.attempt, t.error,
+                                   t.duration_s, t.status in ("cached", "resumed"),
+                                   t.failure_kind))
+        except Exception as exc:
+            warnings.warn(f"progress callback disabled after raising {exc!r}",
+                          RuntimeWarning, stacklevel=2)
+            progress = None
+
+    return observe
+
+
+class _InlineExecutor:
+    """The pool's in-process stand-in: ``submit`` runs the call at once
+    and returns its completed Future."""
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+class _Grid:
+    """One :func:`run_grid` call: probe, dispatch and settle its cells."""
+
+    def __init__(self, specs: list[RunSpec], keys: dict[RunSpec, str],
+                 cache: Optional[ResultCache], report: RunReport, observers: list,
+                 tel, policy: RetryPolicy, timeout_s: Optional[float], chaos) -> None:
+        self.result = GridResult(specs=specs, results={}, report=report)
+        self.keys, self.cache, self.report = keys, cache, report
+        self.observers, self.tel = observers, tel
+        self.policy, self.timeout_s, self.chaos = policy, timeout_s, chaos
+        #: spec -> number of its current (or next) attempt.
+        self.attempts: dict[RunSpec, int] = {}
+        #: What a broken pool raises: matches nothing until a pool
+        #: exists, so an in-process grid never imports the pool module.
+        self.pool_break: Any = ()
+
+    def note(self, status: str, spec: RunSpec, **fields: Any) -> None:
+        if self.observers:
+            t = CellTransition(status, spec, self.keys[spec], **fields)
+            for observe in self.observers:
+                observe(t)
+
+    def probe(self, resume_state: Optional[JournalState]) -> list[RunSpec]:
+        """Serve every cell the cache can (re-verified against a resumed
+        journal); return the rest in submission order."""
+        cache, tel, report = self.cache, self.tel, self.report
+        pending: list[RunSpec] = []
+        for spec, key in self.keys.items():
+            hit = art = ser = None
+            if cache is not None:
+                hit = cache.load(spec, key)
+                art = cache.load_sidecar(cache.artifact_path_for(key)) if spec.profile else None
+                ser = cache.load_sidecar(cache.series_path_for(key)) if spec.series else None
+                if tel is not None:
+                    tel.instant("cache.probe", lane="cache", spec=spec.display_label())
+            # A profiled (or series) spec is a hit only with its artifacts.
+            if (spec.profile and art is None) or (spec.series and ser is None):
+                hit = None
+            want = resume_state.done.get(key) if resume_state is not None else None
+            if hit is not None and want is not None:
+                if result_hash(encode_result(hit)) == want:
+                    report.resumed += 1
+                    report.reverified += 1
+                    self.serve(spec, hit, art, ser, "resumed")
+                    continue
+                # The cached bytes no longer match what the journal
+                # witnessed: quarantine the entry as a unit and re-run.
+                report.resume_mismatches += 1
+                cache.quarantine_entry(key)
+                if tel is not None:
+                    tel.instant("resume.mismatch", lane="cache", spec=spec.display_label())
+                    tel.counter("resume_mismatches", help="resume re-verification failures")
+                hit = None
+            if hit is not None:
+                self.serve(spec, hit, art, ser, "cached")
+            else:
+                self.note("scheduled", spec)
+                pending.append(spec)
+        return pending
+
+    def keep(self, spec: RunSpec, value: Any, art: Optional[dict],
+             ser: Optional[dict]) -> None:
+        self.result.results[spec] = value
+        if art is not None:
+            self.result.artifacts[spec] = art
+        if ser is not None:
+            self.result.series[spec] = ser
+
+    def serve(self, spec: RunSpec, hit: Any, art: Optional[dict], ser: Optional[dict],
+              status: str) -> None:
+        self.keep(spec, hit, art, ser)
+        self.result.cache_hits += 1
+        self.note(status, spec, result=hit)
+
+    def dispatch(self, pending: list[RunSpec], jobs: Optional[int],
+                 max_pool_rebuilds: int, breaker: Optional[CircuitBreaker]) -> None:
+        """Run ``pending`` through one loop over an executor: a pool of
+        ``jobs`` workers, or the in-process stand-in for ``jobs<=1`` and
+        after the breaker's last step. A pool holds at most ``workers +
+        1`` cells in flight (its own prefetch depth), and a pool break
+        charges an attempt to those alone."""
+        from collections import deque
+        from concurrent.futures import FIRST_COMPLETED, Future, wait
+
+        self.attempts = dict.fromkeys(pending, 1)
+        queue = deque(pending)
+        in_flight: dict[Any, tuple[RunSpec, float]] = {}
+        workers = jobs if jobs and jobs > 1 else 0
+        brk = breaker if breaker is not None else CircuitBreaker()
+        rebuilds = 0
+        executor = self.executor(workers)
+        if workers and self.tel is not None:
+            self.tel.gauge("pool_workers", workers, help="process pool size")
+
+        def top_up(depth: int) -> None:
+            while queue and len(in_flight) < depth:
+                spec = queue.popleft()
+                self.note("started", spec, attempt=self.attempts[spec])
+                t0 = time.monotonic()
+                try:
+                    fut = executor.submit(_worker_run, spec, self.timeout_s, self.chaos)
+                except self.pool_break as exc:  # the pool died under us
+                    fut = Future()
+                    fut.set_exception(exc)
+                    in_flight[fut] = (spec, t0)
+                    return
+                in_flight[fut] = (spec, t0)
+
+        def recall() -> list[tuple[RunSpec, float]]:
+            """Shut the executor down; take back every cell in flight."""
+            lost = list(in_flight.values())
+            in_flight.clear()
+            with contextlib.suppress(Exception):
+                executor.shutdown(wait=False, cancel_futures=True)
+            return lost
+
+        try:
+            while queue or in_flight:
+                # The stand-in runs one cell and settles it before the
+                # next; a pool refills its window before settling.
+                depth = workers + 1 if workers else 0
+                top_up(depth or 1)
+                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                ready = [(fut, fut.exception(), *in_flight.pop(fut))
+                         for fut in list(in_flight) if fut in finished]
+                broken = next((exc for _, exc, _, _ in ready
+                               if isinstance(exc, self.pool_break)), None)
+                if broken is None:
+                    top_up(depth)
+                casualties = []
+                for fut, exc, spec, t0 in ready:
+                    if isinstance(exc, self.pool_break):
+                        casualties.append((spec, t0))
+                        continue
+                    if workers:
+                        brk.record(exc is None)
+                    if exc is None:
+                        self.settle_ok(spec, fut.result())
+                    elif self.fail_attempt(spec, exc, time.monotonic() - t0):
+                        queue.appendleft(spec)
+                    self.maybe_abort()
+                if broken is not None:
+                    # A worker died and took the pool with it: only the
+                    # cells in flight are lost, and only they are charged.
+                    casualties += recall()
+                    rebuilds += 1
+                    self.report.pool_rebuilds += 1
+                    brk.record(False)
+                    capped = None
+                    if rebuilds > max_pool_rebuilds:
+                        # A pool that cannot stay alive is an outage, not
+                        # a transient: fail what is left.
+                        capped = (f"pool rebuild cap reached ({max_pool_rebuilds}); "
+                                  f"last crash: {broken!r}")
+                    else:
+                        executor = self.executor(workers)
+                        if self.tel is not None:
+                            self.tel.instant("pool.rebuild", error=repr(broken),
+                                             casualties=len(casualties))
+                            self.tel.counter("pool_rebuilds",
+                                             help="process pool crash recoveries")
+                    now = time.monotonic()
+                    queue.extendleft(reversed([
+                        spec for spec, t0 in casualties
+                        if self.fail_attempt(spec, broken, now - t0, capped)]))
+                    while capped and queue:
+                        spec = queue.popleft()
+                        self.settle_failed(spec, capped, self.attempts[spec] - 1, None, "crash")
+                    self.maybe_abort()
+                if workers and (queue or in_flight) and brk.tripped:
+                    # Degradation ladder: the windowed failure rate
+                    # tripped the breaker. The first trip halves the
+                    # pool, the next falls back to the in-process
+                    # executor — degrade before giving up.
+                    queue.extendleft(reversed([spec for spec, _ in recall()]))
+                    step = brk.trip_and_reset()
+                    workers = max(1, workers // 2) if step == 1 and workers > 1 else 0
+                    self.report.degradation.append(
+                        f"pool shrunk to {workers}" if workers else "fell back to serial")
+                    if self.tel is not None:
+                        mode = {} if workers else {"mode": "serial"}
+                        self.tel.instant("pool.degrade", step=step, jobs=workers or 1, **mode)
+                        self.tel.counter("pool_degrades", help="degradation ladder steps")
+                        if workers:
+                            self.tel.gauge("pool_workers", workers, help="process pool size")
+                    executor = self.executor(workers)
+        finally:
+            recall()
+
+    def executor(self, workers: int):
+        """A process pool of ``workers``, or the in-process stand-in."""
+        if not workers:
+            return _InlineExecutor()
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        self.pool_break = BrokenProcessPool
+        return ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
+
+    def fail_attempt(self, spec: RunSpec, exc: BaseException, elapsed: float,
+                     give_up: Optional[str] = None) -> bool:
+        """The retry-or-fail decision for a failed attempt, whether it
+        raised, timed out or died with the pool. True means retry (the
+        caller re-queues the cell); ``give_up`` fails it with that error."""
+        kind = classify_failure(exc)
+        attempt = self.attempts[spec]
+        if give_up is not None or attempt > self.policy.retries:
+            self.settle_failed(spec, give_up or repr(exc), attempt, elapsed, kind)
+            return False
+        self.report.retries[kind] += 1
+        self.note("retry", spec, attempt=attempt, error=repr(exc), failure_kind=kind,
+                  duration_s=elapsed)
+        self.attempts[spec] = attempt + 1
+        delay = self.policy.delay_s(self.keys[spec], attempt)
+        if delay > 0:
+            time.sleep(delay)
+        return True
+
+    def maybe_abort(self) -> None:
+        abort_after = getattr(self.chaos, "abort_after", None)
+        settled = self.result.executed + len(self.result.failed_specs)
+        if abort_after is not None and settled >= abort_after:
+            if self.tel is not None:
+                self.tel.instant("chaos.abort", after=settled)
+            raise ChaosAbort(f"chaos: simulated harness crash after {settled} settled cell(s)")
+
+    def settle_ok(self, spec: RunSpec, encoded: dict) -> None:
+        obs, series = encoded.pop("obs", None), encoded.pop("series", None)
+        wall_s, pid = encoded.pop("wall_s", None), encoded.pop("pid", None)
+        decoded = decode_result(encoded)
+        self.keep(spec, decoded, obs, series)
+        self.result.executed += 1
+        if self.cache is not None:
+            try:
+                self.cache.store_entry(spec, encoded, obs=obs, series=series,
+                                       key=self.keys[spec])
+                if self.tel is not None:
+                    self.tel.instant("cache.write", lane="cache", spec=spec.display_label())
+                    self.tel.counter("cache_writes", help="results written to cache")
+            except OSError as exc:
+                # An unwritable store (bad cache_dir, full disk) must not
+                # sink a grid whose results are already in memory.
+                warnings.warn(f"result cache disabled: cannot write {self.cache.root}: {exc}",
+                              RuntimeWarning, stacklevel=2)
+                self.cache = None
+        self.note("ran", spec, attempt=self.attempts[spec], duration_s=wall_s,
+                  result=decoded, encoded=encoded, pid=pid)
+
+    def settle_failed(self, spec: RunSpec, error: str, attempts: int,
+                      duration_s: Optional[float], kind: str) -> None:
+        self.result.failed_specs.append(FailedSpec(spec, error, attempts, kind))
+        self.report.failures[kind] += 1
+        self.note("failed", spec, attempt=attempts, error=error, failure_kind=kind,
+                  duration_s=duration_s)
+
+
 def run_grid(
     specs: Iterable[RunSpec],
     *,
@@ -829,456 +1188,92 @@ def run_grid(
 ) -> GridResult:
     """Execute a grid of specs, using the cache and ``jobs`` workers.
 
-    ``jobs=None``/``0``/``1`` executes serially in-process (still using
-    the cache); ``jobs=N`` fans out across N worker processes. Each
-    failing cell (exception, timeout, worker crash) is retried
-    ``retries`` times — with the backoff schedule of ``retry_policy``,
-    which overrides ``retries`` when given — and then reported in
+    Each unique cell is **probed** (served from the cache when it can
+    be), the misses are **dispatched** through one loop — in-process
+    for ``jobs=None``/``0``/``1``, else across ``jobs`` worker
+    processes — and every outcome is **settled** into the
+    :class:`GridResult` and its :class:`~repro.resilience.policy.RunReport`.
+    A failing cell (exception, timeout, worker crash) is retried
+    ``retries`` times — on the backoff schedule of ``retry_policy``,
+    which overrides ``retries`` when given — and then lands in
     :attr:`GridResult.failed_specs`, classified as timeout / crash /
-    error; the rest of the grid completes regardless. Pool rebuilds
-    after worker crashes are capped at ``max_pool_rebuilds``, and the
-    ``breaker`` (a :class:`~repro.resilience.policy.CircuitBreaker`,
-    default-constructed when None) degrades the pool — half the
-    workers, then serial in-process — when the failure rate trips it.
+    error; the rest of the grid completes regardless. A worker crash
+    charges an attempt only to the cells in flight (at most
+    ``jobs + 1``); pool rebuilds are capped at ``max_pool_rebuilds``,
+    and the ``breaker`` (default-constructed when None) degrades the
+    pool — half the workers, then in-process — when the failure rate
+    trips it.
 
-    ``journal`` (a path or an open
-    :class:`~repro.resilience.journal.RunJournal`) records every cell's
-    lifecycle durably. ``resume`` (a path or a replayed
-    :class:`~repro.resilience.journal.JournalState`) replays a previous
-    journal: cells it witnessed as done are served from the cache after
-    **re-verifying** their bytes against the journaled result hash —
-    a mismatch quarantines the entry and re-runs the cell; resuming
-    against a changed matrix raises
+    ``journal`` (a path or an open :class:`RunJournal`) records every
+    cell's lifecycle durably. ``resume`` (a path or a replayed
+    :class:`JournalState`) serves the cells a previous journal witnessed
+    as done from the cache after **re-verifying** their bytes against
+    the journaled result hash (a mismatch quarantines the entry and
+    re-runs the cell); resuming against a changed matrix raises
     :class:`~repro.resilience.journal.ResumeError`. Passing both (the
-    usual ``--resume`` shape) appends the new lifecycle to the same
-    journal file.
+    ``--resume`` shape) appends to the same journal file.
 
     ``chaos`` (a :class:`~repro.resilience.chaos.ChaosPolicy`) and
-    ``cache_fs`` (a :class:`~repro.resilience.integrity.CacheFS`)
-    inject deterministic faults for the chaos battery; both default to
-    "no faults".
+    ``cache_fs`` (a :class:`~repro.resilience.integrity.CacheFS`) inject
+    deterministic faults for the chaos battery.
 
-    ``telemetry`` (a :class:`repro.telemetry.HarnessTelemetry`) records
-    wall-clock spans, cache instants and counters for every state
-    transition. Every touch point is guarded by
-    ``telemetry is not None and telemetry.enabled``, so a detached grid
-    pays a single boolean check (the exploding-telemetry test pins
-    this), and telemetry observes only harness wall-clock — results and
-    cache contents are byte-identical with it on or off.
-
-    A ``progress`` callback that raises is disabled after its first
-    exception (with a :class:`RuntimeWarning`) instead of sinking the
-    grid: observation must never abort the experiment.
+    The journal, ``telemetry`` (a :class:`repro.telemetry.HarnessTelemetry`)
+    and ``progress`` observe each cell's transitions
+    (:class:`CellTransition`).
+    Detached telemetry attaches no observer and is touched only through
+    its ``enabled`` flag; attached, it records harness wall-clock only,
+    so results and cache bytes are identical either way. A ``progress``
+    callback that raises is disabled after its first exception.
     """
     tel = telemetry if (telemetry is not None and telemetry.enabled) else None
     spec_list = list(specs)
-    unique: dict[RunSpec, None] = dict.fromkeys(spec_list)
-    total = len(unique)
-    report = RunReport(cells=total)
+    keys = {spec: spec_key(spec) for spec in dict.fromkeys(spec_list)}
+    resume_state: Optional[JournalState] = None
+    if resume is not None:
+        resume_state = resume if isinstance(resume, JournalState) else replay_journal(resume)
+        resume_state.check_digest(keys.values())
+    own_journal = journal is not None and not isinstance(journal, RunJournal)
+    if own_journal:
+        journal = (RunJournal.resume(journal) if resume_state is not None
+                   else RunJournal.create(journal, keys.values()))
 
-    def note_quarantine(path: Path, moved: Optional[Path]) -> None:
+    observers = []
+    if journal is not None:
+        observers.append(journal_observer(journal))
+    if tel is not None:
+        done = resume_state.done if resume_state is not None else ()
+        observers.append(telemetry_observer(tel, cache=use_cache, resume_done=done))
+    if progress is not None:
+        observers.append(progress_observer(progress, len(keys)))
+    report = RunReport(cells=len(keys))
+
+    def quarantined(path: Path, moved: Optional[Path]) -> None:
+        # Holds the report, not the grid: the cache keeps this callback,
+        # and a grid <-> cache cycle would outlive the call.
         report.quarantined += 1
         if tel is not None:
             tel.instant("cache.quarantine", lane="cache", path=str(path))
             tel.counter("cache_quarantined", help="corrupt cache files quarantined")
 
-    cache = (ResultCache(cache_dir, fs=cache_fs, on_quarantine=note_quarantine)
+    cache = (ResultCache(cache_dir, fs=cache_fs, on_quarantine=quarantined)
              if use_cache else None)
-    result = GridResult(specs=spec_list, results={}, report=report)
-    done = 0
-
     policy = retry_policy if retry_policy is not None else RetryPolicy(retries=retries)
-    retries = policy.retries
-    keys: dict[RunSpec, str] = {spec: spec_key(spec) for spec in unique}
-
-    resume_state: Optional[JournalState] = None
-    if resume is not None:
-        resume_state = (resume if isinstance(resume, JournalState)
-                        else replay_journal(resume))
-        resume_state.check_digest(keys.values())
-
-    own_journal = False
-    if journal is not None and not isinstance(journal, RunJournal):
-        journal = (RunJournal.resume(journal) if resume_state is not None
-                   else RunJournal.create(journal, keys.values()))
-        own_journal = True
-
-    def jrecord(event: str, spec: RunSpec, **extra: Any) -> None:
-        if journal is not None:
-            journal.record(event, keys[spec], **extra)
-
-    grid_span = (
-        tel.span("grid.run", cells=total, jobs=jobs or 1)
-        if tel is not None else contextlib.nullcontext({})
-    )
-
-    def emit(spec: RunSpec, status: str, attempt: int = 1,
-             error: str | None = None, duration_s: Optional[float] = None,
-             cache_hit: bool = False, failure_kind: Optional[str] = None) -> None:
-        nonlocal progress
-        if progress is None:
-            return
-        try:
-            progress(ProgressEvent(spec, status, done, total, attempt, error,
-                                   duration_s, cache_hit, failure_kind))
-        except Exception as exc:
-            warnings.warn(
-                f"progress callback disabled after raising {exc!r}",
-                RuntimeWarning, stacklevel=2,
-            )
-            progress = None
-
-    def tel_settle(spec: RunSpec, status: str, duration_ns: Optional[int]) -> None:
-        """One settled-cell record: counter + wall histogram."""
-        if tel is None:
-            raise GridError("settle record for telemetry that is not attached")
-        tel.counter("cells", help="grid cells settled by status", status=status)
-        if duration_ns is not None:
-            tel.observe("shard_wall_ns", duration_ns,
-                        help="per-attempt shard wall-clock", status=status)
-
-    with contextlib.ExitStack() as _stack:
-        grid_attrs = _stack.enter_context(grid_span)
+    grid = _Grid(spec_list, keys, cache, report, observers, tel, policy, timeout_s, chaos)
+    with contextlib.ExitStack() as stack:
+        grid_attrs = stack.enter_context(
+            tel.span("grid.run", cells=len(keys), jobs=jobs or 1) if tel is not None
+            else contextlib.nullcontext({}))
         if own_journal:
-            _stack.callback(journal.close)
-
-        def settle_hit(spec: RunSpec, hit: Any, art: Optional[dict],
-                       ser: Optional[dict], status: str) -> None:
-            nonlocal done
-            result.results[spec] = hit
-            if art is not None:
-                result.artifacts[spec] = art
-            if ser is not None:
-                result.series[spec] = ser
-            result.cache_hits += 1
-            done += 1
-            if tel is not None:
-                tel.instant("cache.hit", lane="cache", spec=spec.display_label())
-                tel.counter("cache_hits", help="grid cells served from cache")
-                tel_settle(spec, status, None)
-            emit(spec, status, cache_hit=True)
-
-        pending: list[RunSpec] = []
-        for spec in unique:
-            key = keys[spec]
-            hit = cache.load(spec, key) if cache is not None else None
-            art = cache.load_artifact(spec, key) if cache is not None and spec.profile else None
-            ser = cache.load_series(spec, key) if cache is not None and spec.series else None
-            if tel is not None and cache is not None:
-                tel.instant("cache.probe", lane="cache", spec=spec.display_label())
-            # A profiled (or series) spec only counts as a hit when
-            # its artifacts are present too — a result without them
-            # is a miss.
-            full_hit = (hit is not None
-                        and (not spec.profile or art is not None)
-                        and (not spec.series or ser is not None))
-            want_hash = (resume_state.done.get(key)
-                         if resume_state is not None else None)
-            if full_hit and want_hash is not None:
-                actual = result_hash(encode_result(hit))
-                if actual == want_hash:
-                    report.resumed += 1
-                    report.reverified += 1
-                    if tel is not None:
-                        tel.instant("resume.hit", lane="cache",
-                                    spec=spec.display_label())
-                        tel.counter("cells_resumed",
-                                    help="cells skipped via journal resume")
-                        tel.counter("cells_reverified",
-                                    help="resumed cells re-verified against "
-                                         "the journaled result hash")
-                    jrecord("resumed", spec, result_hash=actual)
-                    settle_hit(spec, hit, art, ser, "resumed")
-                    continue
-                # The cached bytes no longer match what the journal
-                # witnessed: the entry is suspect as a unit — quarantine
-                # it and re-run the cell.
-                report.resume_mismatches += 1
-                cache.quarantine_entry(key)
-                if tel is not None:
-                    tel.instant("resume.mismatch", lane="cache",
-                                spec=spec.display_label())
-                    tel.counter("resume_mismatches",
-                                help="resume re-verification failures")
-                full_hit = False
-                hit = None
-            if full_hit:
-                if journal is not None:
-                    jrecord("cached", spec, result_hash=result_hash(encode_result(hit)))
-                settle_hit(spec, hit, art, ser, "cached")
-            else:
-                if want_hash is not None and tel is not None:
-                    # The journal says done but the cache cannot serve it
-                    # (evicted, corrupt, or just quarantined): re-run.
-                    tel.instant("resume.miss", lane="cache",
-                                spec=spec.display_label())
-                if tel is not None and cache is not None:
-                    tel.instant("cache.miss", lane="cache", spec=spec.display_label())
-                    tel.counter("cache_misses", help="grid cells not in cache")
-                jrecord("scheduled", spec)
-                pending.append(spec)
-
-        def settle_ok(spec: RunSpec, encoded: dict) -> None:
-            nonlocal done, cache
-            obs = encoded.pop("obs", None)
-            series = encoded.pop("series", None)
-            wall_s = encoded.pop("wall_s", None)
-            pid = encoded.pop("pid", None)
-            if obs is not None:
-                result.artifacts[spec] = obs
-            if series is not None:
-                result.series[spec] = series
-            result.results[spec] = decode_result(encoded)
-            result.executed += 1
-            if tel is not None and wall_s is not None:
-                # Reconstruct the worker's execution as a slice on its
-                # lane: it ended (approximately) now and lasted wall_s.
-                wall_ns = int(wall_s * 1e9)
-                end_ns = tel.now_ns()
-                tel.add_span("shard.execute", end_ns - wall_ns, wall_ns,
-                             lane=f"worker-{pid}", spec=spec.display_label())
-                tel_settle(spec, "ran", wall_ns)
-            if cache is not None:
-                try:
-                    cache.store_entry(spec, encoded, obs=obs, series=series,
-                                      key=keys[spec])
-                    if tel is not None:
-                        tel.instant("cache.write", lane="cache",
-                                    spec=spec.display_label())
-                        tel.counter("cache_writes", help="results written to cache")
-                except OSError as exc:
-                    # An unwritable store (bad cache_dir, full disk) must not
-                    # sink a grid whose results are already in memory.
-                    warnings.warn(
-                        f"result cache disabled: cannot write {cache.root}: {exc}",
-                        RuntimeWarning, stacklevel=2,
-                    )
-                    cache = None
-            if journal is not None:
-                jrecord("done", spec, result_hash=result_hash(encoded))
-            done += 1
-            emit(spec, "ran", duration_s=wall_s)
-
-        def settle_failed(spec: RunSpec, error: str, attempts: int,
-                          duration_s: Optional[float] = None,
-                          kind: str = "error") -> None:
-            nonlocal done
-            result.failed_specs.append(FailedSpec(spec, error, attempts, kind))
-            report.failures[kind] += 1
-            done += 1
-            if tel is not None:
-                tel.instant("shard.failed", spec=spec.display_label(),
-                            error=error, attempts=attempts, kind=kind)
-                tel_settle(spec, "failed",
-                           int(duration_s * 1e9) if duration_s is not None else None)
-            jrecord("failed", spec, error=error, kind=kind, attempts=attempts)
-            emit(spec, "failed", attempts, error, duration_s, failure_kind=kind)
-
-        def note_retry(spec: RunSpec, attempt: int, error: str,
-                       duration_s: Optional[float], kind: str = "error") -> None:
-            report.retries[kind] += 1
-            if tel is not None:
-                tel.instant("shard.retry", spec=spec.display_label(),
-                            error=error, attempt=attempt, kind=kind)
-                tel_settle(spec, "retry",
-                           int(duration_s * 1e9) if duration_s is not None else None)
-            emit(spec, "retry", attempt, error, duration_s, failure_kind=kind)
-
-        def maybe_abort() -> None:
-            if chaos is None or getattr(chaos, "abort_after", None) is None:
-                return
-            settled_live = result.executed + len(result.failed_specs)
-            if settled_live >= chaos.abort_after:
-                if tel is not None:
-                    tel.instant("chaos.abort", after=settled_live)
-                raise ChaosAbort(
-                    f"chaos: simulated harness crash after {settled_live} "
-                    f"settled cell(s)")
-
-        def finish() -> GridResult:
-            report.cache_hits = result.cache_hits
-            report.executed = result.executed
-            if tel is not None:
-                grid_attrs.update(cache_hits=result.cache_hits,
-                                  executed=result.executed,
-                                  failed=len(result.failed_specs))
-            return result
-
-        def run_serial(pend: list[RunSpec]) -> None:
-            for spec in pend:
-                attempt = 0
-                while True:
-                    attempt += 1
-                    t0 = time.monotonic()
-                    try:
-                        jrecord("started", spec, attempt=attempt)
-                        settle_ok(spec, _worker_run(spec, timeout_s, chaos))
-                        break
-                    except ChaosAbort:
-                        raise
-                    except Exception as exc:
-                        elapsed = time.monotonic() - t0
-                        kind = classify_failure(exc)
-                        if attempt > retries:
-                            settle_failed(spec, repr(exc), attempt, elapsed, kind)
-                            break
-                        note_retry(spec, attempt, repr(exc), elapsed, kind)
-                        delay = policy.delay_s(keys[spec], attempt)
-                        if delay > 0:
-                            time.sleep(delay)
-                maybe_abort()
-
-        if not pending:
-            return finish()
-
-        if not jobs or jobs <= 1:
-            run_serial(pending)
-            return finish()
-
-        from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        ctx = _pool_context()
-        attempts: dict[RunSpec, int] = {s: 1 for s in pending}
-        cur_jobs = jobs
-        rebuilds = 0
-        brk = breaker if breaker is not None else CircuitBreaker()
-        pool = ProcessPoolExecutor(max_workers=cur_jobs, mp_context=ctx)
+            stack.callback(journal.close)
+        pending = grid.probe(resume_state)
+        if pending:
+            grid.dispatch(pending, jobs, max_pool_rebuilds, breaker)
+        result = grid.result
+        grid.report.cache_hits, grid.report.executed = result.cache_hits, result.executed
         if tel is not None:
-            tel.gauge("pool_workers", cur_jobs, help="process pool size")
-        submitted_at: dict[Any, float] = {}
-
-        def submit(p, spec: RunSpec):
-            jrecord("started", spec, attempt=attempts[spec])
-            try:
-                fut = p.submit(_worker_run, spec, timeout_s, chaos)
-            except BrokenProcessPool as exc:
-                # The pool died while we were still submitting (a very
-                # fast worker crash). Hand back a dead future carrying
-                # the breakage so the wait loop's rebuild logic handles
-                # it exactly like a crash observed in flight.
-                fut = Future()
-                fut.set_exception(exc)
-            submitted_at[fut] = time.monotonic()
-            return fut
-
-        serial_fallback: list[RunSpec] = []
-        in_flight: dict[Any, RunSpec] = {submit(pool, spec): spec for spec in pending}
-        try:
-            while in_flight:
-                finished, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-                pool_broken = False
-                for fut in finished:
-                    spec = in_flight.pop(fut)
-                    elapsed = time.monotonic() - submitted_at.pop(fut, time.monotonic())
-                    try:
-                        encoded = fut.result()
-                    except BrokenProcessPool as exc:
-                        # The pool died (a worker crashed hard). Every
-                        # in-flight future is lost: rebuild the pool and
-                        # retry them all, charging each one attempt.
-                        casualties = [spec] + list(in_flight.values())
-                        in_flight.clear()
-                        submitted_at.clear()
-                        with contextlib.suppress(Exception):
-                            pool.shutdown(wait=False, cancel_futures=True)
-                        rebuilds += 1
-                        report.pool_rebuilds += 1
-                        brk.record(False)
-                        if rebuilds > max_pool_rebuilds:
-                            # A pool that cannot stay alive is an outage,
-                            # not a transient: fail what is left with a
-                            # clear error instead of rebuilding forever.
-                            pool = None
-                            for s in casualties:
-                                settle_failed(
-                                    s,
-                                    f"pool rebuild cap reached "
-                                    f"({max_pool_rebuilds}); last crash: {exc!r}",
-                                    attempts[s], elapsed, "crash")
-                            maybe_abort()
-                            break
-                        pool = ProcessPoolExecutor(max_workers=cur_jobs,
-                                                   mp_context=ctx)
-                        if tel is not None:
-                            tel.instant("pool.rebuild", error=repr(exc),
-                                        casualties=len(casualties))
-                            tel.counter("pool_rebuilds",
-                                        help="process pool crash recoveries")
-                        for s in casualties:
-                            if attempts[s] > retries:
-                                settle_failed(s, repr(exc), attempts[s],
-                                              elapsed, "crash")
-                            else:
-                                note_retry(s, attempts[s], repr(exc), elapsed,
-                                           "crash")
-                                attempts[s] += 1
-                                in_flight[submit(pool, s)] = s
-                        maybe_abort()
-                        pool_broken = True
-                    except Exception as exc:  # worker raised (incl. RunTimeout)
-                        kind = classify_failure(exc)
-                        brk.record(False)
-                        if attempts[spec] > retries:
-                            settle_failed(spec, repr(exc), attempts[spec],
-                                          elapsed, kind)
-                        else:
-                            note_retry(spec, attempts[spec], repr(exc), elapsed,
-                                       kind)
-                            attempts[spec] += 1
-                            delay = policy.delay_s(keys[spec], attempts[spec] - 1)
-                            if delay > 0:
-                                time.sleep(delay)
-                            in_flight[submit(pool, spec)] = spec
-                        maybe_abort()
-                    else:
-                        brk.record(True)
-                        settle_ok(spec, encoded)
-                        maybe_abort()
-                    if pool_broken:
-                        break  # `in_flight` was rebuilt wholesale; re-wait
-
-                if in_flight and pool is not None and brk.tripped:
-                    # Degradation ladder: the windowed failure rate
-                    # crossed the breaker threshold. First trip halves
-                    # the pool; the next falls back to serial in-process
-                    # execution — degrade before giving up.
-                    unsettled = list(in_flight.values())
-                    in_flight.clear()
-                    submitted_at.clear()
-                    with contextlib.suppress(Exception):
-                        pool.shutdown(wait=False, cancel_futures=True)
-                    step = brk.trip_and_reset()
-                    if step == 1 and cur_jobs > 1:
-                        cur_jobs = max(1, cur_jobs // 2)
-                        report.degradation.append(f"pool shrunk to {cur_jobs}")
-                        if tel is not None:
-                            tel.instant("pool.degrade", step=step, jobs=cur_jobs)
-                            tel.counter("pool_degrades",
-                                        help="degradation ladder steps")
-                            tel.gauge("pool_workers", cur_jobs,
-                                      help="process pool size")
-                        pool = ProcessPoolExecutor(max_workers=cur_jobs,
-                                                   mp_context=ctx)
-                        for s in unsettled:
-                            in_flight[submit(pool, s)] = s
-                    else:
-                        report.degradation.append("fell back to serial")
-                        if tel is not None:
-                            tel.instant("pool.degrade", step=step, jobs=1,
-                                        mode="serial")
-                            tel.counter("pool_degrades",
-                                        help="degradation ladder steps")
-                        pool = None
-                        serial_fallback = unsettled
-                        break
-        finally:
-            if pool is not None:
-                with contextlib.suppress(Exception):
-                    pool.shutdown(wait=False, cancel_futures=True)
-        if serial_fallback:
-            run_serial(serial_fallback)
-        return finish()
+            grid_attrs.update(cache_hits=result.cache_hits, executed=result.executed,
+                              failed=len(result.failed_specs))
+        return result
 
 
 def progress_reporter(stream=None):

@@ -15,7 +15,7 @@ from repro.experiments.parallel import (
     GridError,
     RunSpec,
     WorkloadSpec,
-    execute_spec,
+    run_spec,
 )
 from repro.metrics.report import Comparison
 from repro.sim.timebase import SEC, CpuClock
@@ -123,14 +123,14 @@ class TestOvercommit:
             WorkloadSpec.make(OVERCOMMIT_IDLE, vms=2, vcpus_per_vm=4, pcpus=2),
             tick_mode=TickMode.PERIODIC, noise=False, horizon_ns=SEC // 2,
         )
-        slow = execute_spec(spec).total_exits
-        fast = execute_spec(spec.with_(tick_hz=1000)).total_exits
+        slow = run_spec(spec).total_exits
+        fast = run_spec(spec.with_(tick_hz=1000)).total_exits
         assert fast == pytest.approx(4 * slow, rel=0.1)
 
     def test_single_vm_placement_fields_are_refused(self):
         spec = RunSpec(WorkloadSpec.make(OVERCOMMIT_IDLE, vms=2), vcpus=4)
         with pytest.raises(GridError, match="vcpus"):
-            execute_spec(spec)
+            run_spec(spec)
 
     def test_scaling_with_vm_count(self):
         """W1 -> W2: four times the VMs, about four times the exits."""

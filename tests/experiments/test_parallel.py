@@ -29,10 +29,10 @@ from repro.experiments.parallel import (
     RunSpec,
     WorkloadSpec,
     encode_result,
-    execute_spec,
     progress_reporter,
     register_workload,
     run_grid,
+    run_spec,
     spec_from_dict,
     spec_key,
     spec_to_dict,
@@ -121,7 +121,7 @@ def test_spec_dict_round_trip():
 
 
 def test_run_metrics_json_round_trip():
-    m = execute_spec(cheap_spec())
+    m = run_spec(cheap_spec())
     assert isinstance(m, RunMetrics)
     back = RunMetrics.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
     assert back.to_json_dict() == m.to_json_dict()
@@ -137,7 +137,7 @@ def test_run_metrics_json_round_trip():
 
 def test_same_spec_twice_is_identical():
     spec = cheap_spec()
-    assert encode_result(execute_spec(spec)) == encode_result(execute_spec(spec))
+    assert encode_result(run_spec(spec)) == encode_result(run_spec(spec))
 
 
 def test_serial_and_worker_results_identical():
@@ -154,7 +154,7 @@ def test_serial_and_worker_results_identical():
 def test_grid_matches_direct_execution():
     spec = cheap_spec(seed=3)
     grid = run_grid([spec], jobs=1, use_cache=False)
-    assert encode_result(grid[spec]) == encode_result(execute_spec(spec))
+    assert encode_result(grid[spec]) == encode_result(run_spec(spec))
 
 
 def test_grid_dedups_repeated_specs():
@@ -222,7 +222,7 @@ def test_corrupted_cache_file_discarded_not_fatal(tmp_path):
 def test_stale_cache_version_discarded(tmp_path):
     spec = cheap_spec()
     cache = ResultCache(tmp_path)
-    cache.store(spec, encode_result(execute_spec(spec)))
+    cache.store_entry(spec, encode_result(run_spec(spec)))
     path = cache.path_for(spec_key(spec))
     body, status = split_verified(path.read_text())
     assert status == "ok"

@@ -38,7 +38,7 @@ class TestPerturbFixture:
     def test_fixture_is_committed(self):
         assert FIXTURE.exists(), (
             "perturbation fixture missing; capture it with "
-            "`PYTHONPATH=src python -m repro.analysis.golden --perturb --write`"
+            "`PYTHONPATH=src python -m repro.analysis.golden --battery perturb --write`"
         )
 
     def test_battery_covers_every_kind_and_mode(self):
@@ -48,7 +48,7 @@ class TestPerturbFixture:
         assert len(want) == 12
 
     def test_battery_matches_fixture(self):
-        problems = golden.compare_perturb(FIXTURE)
+        problems = golden.compare("perturb", FIXTURE)
         assert not problems, (
             "perturbation behaviour diverged:\n" + "\n".join(problems)
         )

@@ -20,9 +20,9 @@ from repro.experiments.parallel import (
     RunSpec,
     WorkloadSpec,
     encode_result,
-    execute_spec,
     execute_spec_full,
     run_grid,
+    run_spec,
     spec_key,
     spec_to_dict,
 )
@@ -151,7 +151,7 @@ class TestRunReconciliation:
 
     def test_metrics_bit_identical_with_and_without_series(self):
         with_series = execute_spec_full(series_spec())[0]
-        without = execute_spec(series_spec(series=False))
+        without = run_spec(series_spec(series=False))
         assert encode_result(with_series) == encode_result(without)
 
     def test_reconcile_reports_mismatch(self):

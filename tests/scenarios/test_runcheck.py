@@ -118,7 +118,7 @@ class TestFleetCells:
         """check_cell runs a fleet shard through the same spec mapping as
         the grid: an ARM shard stays ARM (no x86 MSR-write exits)."""
         from repro.config import TickMode
-        from repro.experiments.parallel import WorkloadSpec, execute_spec
+        from repro.experiments.parallel import WorkloadSpec, run_spec
         from repro.fleet.spec import host_run_spec
         from repro.host.exitreasons import ExitReason
         from repro.scenarios.matrix import Cell
@@ -137,6 +137,6 @@ class TestFleetCells:
         )
         check = check_cells([Cell("fleet-arm", (), spec)])[0]
         assert check.ok, check.problems
-        assert check.metrics == execute_spec(spec)
+        assert check.metrics == run_spec(spec)
         assert check.metrics.exits.by_reason(ExitReason.MSR_WRITE) == 0
         assert check.metrics.exits.by_reason(ExitReason.SYSREG_TRAP) > 0
